@@ -732,7 +732,10 @@ def _run_integrate(args) -> int:
         p = parse_poly(args.expr)
     except ValueError as exc:
         raise SystemExit(f"qvc: cannot parse expression: {exc}")
-    value = realize_and_integrate(p, shape)
+    try:
+        value = realize_and_integrate(p, shape)
+    except ValueError as exc:
+        raise SystemExit(f"qvc: {exc}")
     print(value)
     return 0
 

@@ -281,9 +281,13 @@ def parse_poly(s: str) -> DescPoly:
                 i, v, pw = int(m.group(1)), m.group(2), int(m.group(3) or 1)
                 if i < 1:
                     raise ValueError(f"bad descendent index in {factor!r}")
-                mono = _mono_mul(mono, ((v, i, pw),))
+                if pw:
+                    mono = _mono_mul(mono, ((v, i, pw),))
             elif _RATIONAL_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
             else:
                 raise ValueError(f"cannot parse factor {factor!r}")
         total = total + DescPoly({mono: coeff})

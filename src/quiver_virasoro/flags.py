@@ -19,6 +19,12 @@ summing over fixed points: components below the dimension cancel in the
 localization sum on their own, but components above it survive as
 weight-dependent equivariant residues and are not part of the classical
 integral, so the filter is load-bearing for weight independence.
+
+Each (shape, weights) pair gets one integral functional, memoized for the
+life of the process.  It puts the localization sum over one common
+denominator D = lcm |e_F| of the tangent products e_F and works in integer
+power sums P_k(S_i) = sum_{s in S_i} w_s^k, so a monomial's integral is a
+single Fraction built from an integer numerator.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm, prod
 
 from .descendents import (DescPoly, VirContext, apply_framed_L, apply_Lwt0,
                           context, zeta)
@@ -170,50 +176,41 @@ def alt_weights(n: int) -> tuple[int, ...]:
     return tuple(1 + i + i * i for i in range(n))
 
 
-# cache of per-(shape, weights) fixed-point evaluation tables
-_EVAL_CACHE: dict[tuple[FlagShape, tuple[int, ...]], list] = {}
+# per-(shape, weights) localization functionals, kept for the process
+_EVAL_CACHE: dict[tuple[FlagShape, tuple[int, ...]], _Functional] = {}
 
 
-class _PointTable:
-    """Per-fixed-point generator values with a monomial-value memo."""
+class _Functional:
+    """Memoized integral of each degree = dimension monomial m:
+    I(m) = (sum_F (D // e_F) prod P_k^p) / (D prod (k!)^p)."""
 
-    __slots__ = ("step_weights", "gens", "tangent", "memo")
+    __slots__ = ("steps", "scales", "denom", "sums", "memo")
 
-    def __init__(self, fp: FixedPoint, ww: tuple[int, ...]):
-        self.step_weights = {str(i): tuple(ww[a - 1] for a in s)
-                             for i, s in enumerate(fp.chain, start=1)}
-        self.gens: dict[tuple[str, int], Fraction] = {}
+    def __init__(self, shape: FlagShape, ww: tuple[int, ...]):
+        pts = enumerate_fixed_points(shape)
+        self.steps = [{str(i): tuple(ww[a - 1] for a in s)
+                       for i, s in enumerate(fp.chain, start=1)}
+                      for fp in pts]
+        tangents = [prod(tangent_weights(fp, ww)) for fp in pts]
+        self.denom = lcm(*tangents)
+        self.scales = [self.denom // e for e in tangents]
+        self.sums: dict[tuple[str, int], list[int]] = {}
         self.memo: dict = {}
-        prod = Fraction(1)
-        for t in tangent_weights(fp, ww):
-            prod *= t
-        self.tangent = prod
 
-    def gen_value(self, v: str, k: int) -> Fraction:
-        val = self.gens.get((v, k))
-        if val is None:
-            val = Fraction(sum(x ** k for x in self.step_weights[v]),
-                           factorial(k))
-            self.gens[(v, k)] = val
-        return val
-
-    def mono_value(self, mono) -> Fraction:
+    def __call__(self, mono) -> Fraction:
         val = self.memo.get(mono)
         if val is None:
-            val = Fraction(1)
+            terms = self.scales
+            den = self.denom
             for v, k, p in mono:
-                val *= self.gen_value(v, k) ** p
-            self.memo[mono] = val
+                col = self.sums.get((v, k))
+                if col is None:  # P_k(S_v) at every fixed point
+                    col = self.sums[(v, k)] = [sum(x ** k for x in st[v])
+                                               for st in self.steps]
+                terms = [t * x ** p for t, x in zip(terms, col)]
+                den *= factorial(k) ** p
+            val = self.memo[mono] = Fraction(sum(terms), den)
         return val
-
-
-def _tables(shape: FlagShape, ww: tuple[int, ...]) -> list[_PointTable]:
-    key = (shape, ww)
-    tabs = _EVAL_CACHE.get(key)
-    if tabs is None:
-        tabs = [_PointTable(fp, ww) for fp in enumerate_fixed_points(shape)]
-        _EVAL_CACHE[key] = tabs
-    return tabs
 
 
 def realize_and_integrate(p: DescPoly, shape: FlagShape, w=None) -> Fraction:
@@ -232,12 +229,13 @@ def realize_and_integrate(p: DescPoly, shape: FlagShape, w=None) -> Fraction:
     comp = p.homogeneous_component(dimension(shape))
     if comp.is_zero():
         return _ZERO
+    key = (shape, ww)
+    integral = _EVAL_CACHE.get(key)
+    if integral is None:
+        integral = _EVAL_CACHE[key] = _Functional(shape, ww)
     total = _ZERO
-    for tab in _tables(shape, ww):
-        val = _ZERO
-        for mono, c in comp.terms.items():
-            val += c * tab.mono_value(mono)
-        total += val / tab.tangent
+    for mono, c in comp.terms.items():
+        total += c * integral(mono)
     return total
 
 

@@ -38,6 +38,18 @@ def test_integrate_rejects_garbage(capsys):
     assert "flag" in str(exc.value).lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["integrate", "1/0", "--flag", "1:2"],
+     ["integrate", "t[1,9]", "--flag", "1:2"]],
+)
+def test_integrate_bad_input_is_one_error_line(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    message = str(exc.value)
+    assert message.startswith("qvc: ") and "\n" not in message
+
+
 def test_integrate_runs_as_a_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "quiver_virasoro.cli", "integrate", "t[1,1]^4",

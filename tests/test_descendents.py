@@ -53,8 +53,14 @@ def test_parse_print_round_trip():
     assert parse_poly(poly_to_str(combo)) == combo
 
 
+def test_parse_folds_power_zero_into_the_constant():
+    one = parse_poly("t[1,1]^0")
+    assert one == 1 and poly_to_str(one) == "1"
+    assert parse_poly("2*t[1,1]^0*t[2,2]") == 2 * tau(2, "2")
+
+
 def test_parse_rejects_garbage():
-    for bad in ("t[0,1]", "t[1]", "t[1,1]^", "qq", "t[1,1]**2"):
+    for bad in ("t[0,1]", "t[1]", "t[1,1]^", "qq", "t[1,1]**2", "1/0"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+from quiver_virasoro import flags
 from quiver_virasoro.descendents import parse_poly, tau
 from quiver_virasoro.flags import (
     FixedPoint,
@@ -138,6 +140,37 @@ def test_weight_vector_independence():
         a = realize_and_integrate(p, s, w=default_weights(s.ambient))
         b = realize_and_integrate(p, s, w=alt_weights(s.ambient))
         assert a == b, (text, p)
+
+
+def _plain_localization(mono, shape, w):
+    """Per-fixed-point Fraction sum for one degree = dimension monomial."""
+    total = Fraction(0)
+    for fp in enumerate_fixed_points(shape):
+        val = Fraction(1)
+        for v, k, pw in mono:
+            step = fp.chain[int(v) - 1]
+            val *= Fraction(sum(w[a - 1] ** k for a in step), factorial(k)) ** pw
+        total += val / prod(tangent_weights(fp, w))
+    return total
+
+
+@pytest.mark.parametrize("text", ["1,2:4", "2:5", "1,2,3:4"])
+@pytest.mark.parametrize("weights", [default_weights, alt_weights])
+def test_localization_matches_plain_fixed_point_sum(text, weights):
+    from quiver_virasoro.descendents import enumerate_monomials
+
+    s = FlagShape.parse(text)
+    w = weights(s.ambient)
+    d = dimension(s)
+    # both signs of the tangent product occur, so D // e_F runs with e_F < 0
+    assert {prod(tangent_weights(fp, w)) > 0
+            for fp in enumerate_fixed_points(s)} == {False, True}
+    for p in enumerate_monomials(chain_quiver(s).vertices, d, min_degree=d):
+        (mono,) = p.terms
+        expected = _plain_localization(mono, s, w)
+        assert realize_and_integrate(p, s, w) == expected, (text, p)
+        assert flags._EVAL_CACHE[(s, w)].memo[mono] == expected
+        assert realize_and_integrate(p, s, w) == expected
 
 
 def test_projective_space_oracle_matches_localization():
