@@ -40,6 +40,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from multiprocessing import Pool
 
 from .descendents import (
@@ -93,6 +94,25 @@ def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
         raise SystemExit(f"qvc: invalid {what} {text!r}: expected comma-separated integers")
 
 
+def _vertex_ints(flag: str, text, from_file, q, count: int, what: str):
+    """The --dim/--frame vector from the flag, else from the quiver file,
+    else None; its length must be ``count`` and its entries nonnegative."""
+    if text is not None:
+        vec = _parse_csv_ints(text, flag)
+    elif from_file is not None:
+        missing = [v for v in q.vertices if v not in from_file]
+        if missing:
+            raise SystemExit(f"qvc: the quiver file gives no {flag[2:]} for vertex {missing[0]!r}")
+        vec = tuple(from_file[v] for v in q.vertices)
+    else:
+        return None
+    if len(vec) != count:
+        raise SystemExit(f"qvc: {flag} has {len(vec)} entries but the quiver has {count} {what}")
+    if min(vec, default=0) < 0:
+        raise SystemExit(f"qvc: {flag} entries must be nonnegative, got {vec}")
+    return vec
+
+
 def _load_quiver(args) -> tuple[str, tuple[int, ...], tuple[int, ...] | None]:
     """Resolve --quiver/--preset/--dim/--frame into (serialized quiver, dims, frames)."""
     if args.quiver is not None and args.preset is not None:
@@ -103,7 +123,10 @@ def _load_quiver(args) -> tuple[str, tuple[int, ...], tuple[int, ...] | None]:
             text = open(args.quiver, encoding="utf-8").read()
         except OSError as exc:
             raise SystemExit(f"qvc: cannot read quiver file: {exc}")
-        q, file_dims, file_frames = parse_quiver(text)
+        try:
+            q, file_dims, file_frames = parse_quiver(text)
+        except ValueError as exc:
+            raise SystemExit(f"qvc: invalid quiver file: {exc}")
     elif args.preset is not None:
         try:
             q = preset(args.preset)
@@ -113,28 +136,14 @@ def _load_quiver(args) -> tuple[str, tuple[int, ...], tuple[int, ...] | None]:
     else:
         raise SystemExit("qvc: one of --quiver or --preset is required")
 
-    if args.dim is not None:
-        dims = _parse_csv_ints(args.dim, "--dim")
-    elif file_dims is not None:
-        dims = tuple(file_dims[v] for v in q.vertices)
-    else:
-        dims = tuple(1 for _ in q.vertices)
-    if len(dims) != len(q.vertices):
-        raise SystemExit(
-            f"qvc: --dim has {len(dims)} entries but the quiver has {len(q.vertices)} vertices"
-        )
-
-    frames = None
-    if getattr(args, "frame", None) is not None:
-        frames = _parse_csv_ints(args.frame, "--frame")
-    elif file_frames is not None:
-        frames = tuple(file_frames[v] for v in q.vertices)
-    if frames is not None and len(frames) != len(q.unfrozen):
-        raise SystemExit(
-            f"qvc: --frame has {len(frames)} entries but the quiver has"
-            f" {len(q.unfrozen)} unfrozen vertices"
-        )
-    return serialize_quiver(q), dims, frames
+    dims = _vertex_ints("--dim", args.dim, file_dims, q, len(q.vertices), "vertices")
+    frames = _vertex_ints(
+        "--frame", getattr(args, "frame", None), file_frames, q, len(q.unfrozen),
+        "unfrozen vertices",
+    )
+    if frames is not None and q.frozen:
+        raise SystemExit("qvc: --frame applies only to quivers without frozen vertices")
+    return serialize_quiver(q), dims or (1,) * len(q.vertices), frames
 
 
 def _require_flag(args) -> FlagShape:
@@ -615,10 +624,8 @@ def _build_bracket(args):
     from .vertex_algebra import _osc_monomials
 
     pool = []
-    sectors = []
-    span = [-1, 0, 1]
-    for coords in _cartesian(span, lat.rank):
-        sectors.append(tuple(Fraction(c) for c in coords))
+    span = (-1, 0, 1)
+    sectors = [tuple(Fraction(c) for c in coords) for coords in product(span, repeat=lat.rank)]
     # Higher-rank lattices get a thinner sector/degree grid: the kernel
     # computation runs one residual per basis monomial, and the full cube
     # is quadratically more expensive while adding little pool variety.
@@ -668,15 +675,6 @@ def _build_bracket(args):
     return cases
 
 
-def _cartesian(values, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _cartesian(values, n - 1):
-        for v in values:
-            yield rest + (v,)
-
-
 _BUILDERS = {
     "commutators": _build_commutators,
     "framed": _build_framed,
@@ -694,6 +692,8 @@ _BUILDERS = {
 def _run_check(args) -> int:
     t0 = time.perf_counter()
     cases = _BUILDERS[args.suite](args)
+    if not cases:
+        raise SystemExit(f"qvc: suite {args.suite} has no cases with these parameters")
     jobs = args.jobs or 1
     if jobs > 1 and len(cases) > 1:
         with Pool(processes=jobs) as pool:

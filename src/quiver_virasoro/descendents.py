@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .quivers import INFINITY, Quiver, coords, todd_matrix
 
@@ -153,30 +153,8 @@ class DescPoly:
         return DescPoly({m: c for m, c in self.terms.items()
                          if _mono_degree(m) == deg})
 
-    def homogeneous_components(self) -> dict[int, "DescPoly"]:
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            out.setdefault(_mono_degree(m), {})[m] = c
-        return {d: DescPoly(t) for d, t in sorted(out.items())}
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), _ZERO)
-
     def vertices(self) -> set[str]:
         return {v for m in self.terms for v, _, _ in m}
-
-    def map_coeff(self, f) -> "DescPoly":
-        return DescPoly({m: f(c) for m, c in self.terms.items()})
-
-    def evaluate(self, value: Callable[[int, str], Fraction]) -> Fraction:
-        """Substitute value(i, v) for each generator and sum the terms."""
-        total = _ZERO
-        for m, c in self.terms.items():
-            prod = c
-            for v, i, p in m:
-                prod *= value(i, v) ** p
-            total += prod
-        return total
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
 from typing import Mapping
@@ -41,11 +42,15 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Lattice:
-    """Ordered basis with integral non-symmetric form q; Q_sym = q + q^T."""
+    """Ordered basis with integral non-symmetric form q; Q_sym = q + q^T.
+    Q_sym, its dual basis and each used row Q_sym(x, .) are computed once."""
 
     basis: tuple[str, ...]
     gram: IntMatrix
     quiver: Quiver | None = field(default=None, compare=False)
+    # coordinate vector x -> Q_sym(x, b) for each basis element b
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         n = len(self.basis)
@@ -85,21 +90,35 @@ class Lattice:
     def qsym(self, a, b) -> Fraction:
         return self.q(a, b) + self.q(b, a)
 
-    def qsym_matrix(self) -> list[list[int]]:
-        n = self.rank
-        return [[self.gram[i][j] + self.gram[j][i] for j in range(n)]
-                for i in range(n)]
+    @cached_property
+    def _qsym(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(g + h for g, h in zip(row, col))
+                     for row, col in zip(self.gram, zip(*self.gram)))
 
-    def dual_basis(self) -> list[tuple[Fraction, ...]]:
-        """Vectors v-hat with Q_sym(v-hat, w) = delta_{vw}; errors if the
-        symmetrized form is degenerate."""
+    def qsym_matrix(self) -> list[list[int]]:
+        return [list(row) for row in self._qsym]
+
+    def pair_row(self, xv: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """Q_sym(x, b) for each basis element b (Q_sym is symmetric)."""
+        row = self._rows.get(xv)
+        if row is None:
+            row = self._rows[xv] = tuple(
+                sum(x * c for x, c in zip(xv, col)) for col in self._qsym)
+        return row
+
+    @cached_property
+    def _duals(self) -> tuple[tuple[Fraction, ...], ...]:
         try:
             inv = linalg.inverse(self.qsym_matrix())
         except ValueError:
             raise ValueError("symmetrized form is degenerate; no dual basis")
         # column j of the inverse solves Q_sym x = e_j
-        return [tuple(inv[i][j] for i in range(self.rank))
-                for j in range(self.rank)]
+        return tuple(zip(*inv))
+
+    def dual_basis(self) -> list[tuple[Fraction, ...]]:
+        """Vectors v-hat with Q_sym(v-hat, w) = delta_{vw}; errors if the
+        symmetrized form is degenerate."""
+        return list(self._duals)
 
 
 def _mono_mul(a: OscMonomial, b: OscMonomial) -> OscMonomial:
@@ -270,11 +289,12 @@ def heisenberg_mode(x, n: int, s: VAState) -> VAState:
             for b, xc in zip(L.basis, xv):
                 if xc:
                     add((sec, _mono_mul(mono, ((b, k, 1),))), c * xc)
-    elif n == 0:
+        return VAState(L, out)
+    pair = L.pair_row(xv)
+    if n == 0:
         for (sec, mono), c in s.terms.items():
-            add((sec, mono), c * L.qsym(xv, sec))
+            add((sec, mono), c * sum(w * a for w, a in zip(pair, sec)))
     else:
-        pair = [L.qsym(xv, b) for b in L.basis]
         for (sec, mono), c in s.terms.items():
             for pos, (b, k, p) in enumerate(mono):
                 if k != n:
@@ -577,7 +597,7 @@ def virasoro_mode(k: int, s: VAState, L: Lattice | None = None) -> VAState:
         L = s.lattice
     elif L != s.lattice:
         raise ValueError("lattice mismatch")
-    duals = L.dual_basis()
+    duals = L._duals
     half = Fraction(1, 2)
     depth = s.osc_degree()
     out = VAState(L)

@@ -175,6 +175,66 @@ def test_bad_dim_vector_is_rejected():
     assert "--dim" in str(exc.value)
 
 
+def _error_line(argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    message = str(exc.value)
+    assert message.startswith("qvc: ") and "\n" not in message
+    return message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "framed", "--flag", "1:2", "--kmax", "-5"],
+     ["check", "va-axioms", "--preset", "A_1", "--samples", "0"]],
+)
+def test_suite_with_no_cases_fails(capsys, argv):
+    assert "no cases" in _error_line(argv)
+    assert capsys.readouterr().out == ""
+
+
+def test_suite_with_no_cases_exits_one_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiver_virasoro.cli", "check", "framed",
+         "--flag", "1:2", "--kmax", "-5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qvc: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["check", "commutators", "--preset", "A_2", "--dim=-1,1"], "--dim"),
+     (["check", "commutators", "--preset", "A_2", "--frame=0,-2"], "--frame")],
+)
+def test_negative_dim_or_frame_is_rejected(argv, flag):
+    assert f"{flag} entries must be nonnegative" in _error_line(argv)
+
+
+@pytest.mark.parametrize("directive", ["dim", "frame"])
+def test_quiver_file_missing_a_vertex_is_rejected(tmp_path, directive):
+    qfile = tmp_path / "gap.quiver"
+    qfile.write_text(f"vertex a\nvertex b\nedge a b\n{directive} a 1\n")
+    message = _error_line(["check", "commutators", "--quiver", str(qfile)])
+    assert f"no {directive} for vertex 'b'" in message
+
+
+def test_frame_on_a_quiver_with_frozen_vertices_is_rejected(tmp_path):
+    qfile = tmp_path / "frozen.quiver"
+    qfile.write_text("vertex 0 frozen\nvertex 1\nedge 0 1\n")
+    message = _error_line(["check", "commutators", "--quiver", str(qfile), "--frame", "1"])
+    assert "without frozen vertices" in message
+
+
+def test_malformed_quiver_file_is_rejected(tmp_path):
+    qfile = tmp_path / "bad.quiver"
+    qfile.write_text("vertex a\narrow a a\n")
+    assert "invalid quiver file" in _error_line(["check", "commutators", "--quiver", str(qfile)])
+
+
 def test_unknown_suite_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         cli.main(["check", "nosuchsuite"])

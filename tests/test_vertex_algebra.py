@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quiver_virasoro import linalg
 from quiver_virasoro.descendents import parse_poly, tau
 from quiver_virasoro.quivers import framify, preset
 from quiver_virasoro.vertex_algebra import (
@@ -24,6 +27,7 @@ from quiver_virasoro.vertex_algebra import (
     vertex_mode,
     virasoro_mode,
 )
+from quiver_virasoro.vertex_algebra import _mono_mul
 
 
 def _lat(name="A_1"):
@@ -52,6 +56,38 @@ def test_degenerate_lattice_has_no_dual_basis():
     lat = Lattice.from_quiver(preset("Kronecker-2"))
     with pytest.raises(ValueError, match="degenerate"):
         lat.dual_basis()
+
+
+def test_dual_basis_is_a_fresh_list_on_each_call():
+    lat = _lat("A_2")
+    first = lat.dual_basis()
+    expect = list(first)
+    first.reverse()
+    first.append(None)
+    assert lat.dual_basis() == expect
+
+
+def test_degenerate_lattice_rejects_virasoro_modes():
+    lat = Lattice.from_quiver(preset("Kronecker-2"))
+    s = _mono_state(lat, (1, 0), [("1", 1, 1)])
+    # the Heisenberg modes need no dual basis
+    assert heisenberg_mode("2", 1, s) == _mono_state(lat, (1, 0), [], -2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degenerate"):
+            virasoro_mode(0, s)
+
+
+def test_dual_basis_is_inverted_once_per_lattice(monkeypatch):
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(1) or inverse(m))
+    lat = _lat("A_2")
+    s = _mono_state(lat, (0, 0, 1, 0), [("1", 2, 1)])
+    for k in range(-2, 3):
+        virasoro_mode(k, s)
+    lat.dual_basis()
+    conformal_element(lat)
+    assert len(calls) == 1
 
 
 def test_vector_coercions():
@@ -398,3 +434,74 @@ def test_bracket_closure_on_residual_free_states():
         for b in pool:
             out = vertex_mode(a, 0, b)
             assert k0_residual(out).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the cached pairing rows and dual basis against per-call recomputation
+
+_REF_LATTICES = {name: _lat(name) for name in ("A_2", "P_2", "Kronecker-2")}
+
+
+def _ref_heisenberg(x, n, s):
+    """x_{(n)} s with each pairing Q_sym(x, .) recomputed by Lattice.qsym."""
+    L = s.lattice
+    xv = L.vector(x)
+    out = VAState(L)
+    for (sec, mono), c in s.terms.items():
+        if n < 0:
+            for b, xc in zip(L.basis, xv):
+                out = out + VAState(L, {(sec, _mono_mul(mono, ((b, -n, 1),))): c * xc})
+        elif n == 0:
+            out = out + VAState(L, {(sec, mono): c * L.qsym(xv, sec)})
+        else:
+            for pos, (b, k, p) in enumerate(mono):
+                if k == n:
+                    rest = mono[:pos] + (((b, k, p - 1),) if p > 1 else ()) + mono[pos + 1:]
+                    out = out + VAState(L, {(sec, rest): c * L.qsym(xv, b) * n * p})
+    return out
+
+
+def _ref_virasoro(k, s):
+    """L_k s by the closed-form mode sums, inverting Q_sym on every call."""
+    L = s.lattice
+    inv = linalg.inverse(L.qsym_matrix())
+    duals = [tuple(row[j] for row in inv) for j in range(L.rank)]
+    h = _ref_heisenberg
+    out = VAState(L)
+    for v, vhat in zip(L.basis, duals):
+        for i in range(1, -k):
+            out = out + h(vhat, -i, h(v, k + i, s))
+        for j in range(0, s.osc_degree() + 1):
+            if j - k >= 1:
+                out = out + h(vhat, k - j, h(v, j, s)) + h(v, k - j, h(vhat, j, s))
+        for i in range(0, k + 1):
+            out = out + h(vhat, i, h(v, k - i, s))
+    return Fraction(1, 2) * out
+
+
+@st.composite
+def _lattice_states(draw):
+    lat = _REF_LATTICES[draw(st.sampled_from(sorted(_REF_LATTICES)))]
+    sector = tuple(draw(st.lists(st.integers(-2, 2), min_size=lat.rank, max_size=lat.rank)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        mono = ()
+        for b, k in draw(st.lists(st.tuples(st.sampled_from(lat.basis), st.integers(1, 3)),
+                                  max_size=3)):
+            mono = _mono_mul(mono, ((b, k, 1),))
+        terms[(sector, mono)] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    x = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=lat.rank,
+                      max_size=lat.rank))
+    return VAState(lat, terms), tuple(x)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_lattice_states())
+def test_cached_rows_and_duals_match_per_call_recomputation(state_and_x):
+    s, x = state_and_x
+    for n in range(-3, 4):
+        assert heisenberg_mode(x, n, s) == _ref_heisenberg(x, n, s), n
+        assert heisenberg_mode(s.lattice.basis[n], n, s) == _ref_heisenberg(
+            s.lattice.basis[n], n, s), n
+    for k in range(-2, 4):
+        assert virasoro_mode(k, s) == _ref_virasoro(k, s), k
