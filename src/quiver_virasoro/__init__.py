@@ -65,6 +65,7 @@ from .vertex_algebra import (
     k0_residual,
     lie_bracket,
     max_nonzero_mode,
+    osc_monomials,
     pairing,
     vacuum,
     vertex_mode,
@@ -132,6 +133,7 @@ __all__ = [
     "k0_residual",
     "lie_bracket",
     "max_nonzero_mode",
+    "osc_monomials",
     "pairing",
     "vacuum",
     "vertex_mode",

@@ -4,8 +4,9 @@ The ``qvc`` entry point exposes two commands:
 
 * ``qvc check SUITE`` runs one of the verification suites and emits one JSON
   object per case on stdout (fields: ``suite``, ``case``, ``status``,
-  ``residual``, ``ms``), with a human-readable summary table on stderr.  The
-  exit code is 0 iff every case passed.
+  ``residual``, ``ms``), with a human-readable summary table on stderr.  A
+  case that raises becomes a row with status ``error`` and an ``error``
+  field; the run goes on.  The exit code is 0 iff every case passed.
 * ``qvc integrate EXPR --flag DIMS:N`` evaluates a descendent expression on a
   flag variety by torus localization and prints the exact rational value.
 
@@ -60,12 +61,17 @@ from .flags import (
     realize_and_integrate,
     weight_zero_residual,
 )
-from .quivers import parse_quiver, preset, preset_names, serialize_quiver
+from .linalg import kernel_basis
+from .quivers import framify, parse_quiver, preset, preset_names, serialize_quiver
 from .vertex_algebra import (
     Lattice,
     VAState,
     dual_pairing_sides,
+    heisenberg_mode,
     k0_residual,
+    max_nonzero_mode,
+    osc_monomials,
+    translate,
     vacuum,
     vertex_mode,
     virasoro_mode,
@@ -75,16 +81,9 @@ from .vertex_algebra import (
 # shared helpers
 
 
-def _abs_sum(terms) -> Fraction:
-    return sum((abs(c) for c in terms.values()), Fraction(0))
-
-
-def _poly_residual(p: DescPoly) -> Fraction:
-    return _abs_sum(p.terms)
-
-
-def _state_residual(s: VAState) -> Fraction:
-    return _abs_sum(s.terms)
+def _residual(x: DescPoly | VAState) -> Fraction:
+    """Sum of the absolute coefficients: 0 exactly when x is zero."""
+    return sum((abs(c) for c in x.terms.values()), Fraction(0))
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -211,7 +210,7 @@ def _eval_commutator(payload) -> Fraction:
         lo = 0
     lhs = L(n, L(m, p)) - L(m, L(n, p))
     rhs = (m - n) * L(n + m, p) if n + m >= lo else DescPoly.zero()
-    return _poly_residual(lhs - rhs)
+    return _residual(lhs - rhs)
 
 
 def _eval_framed(payload) -> Fraction:
@@ -247,15 +246,13 @@ def _eval_heisenberg(payload) -> Fraction:
     s = _state_from_wire(lat, wire)
     x = tuple(Fraction(v) for v in xvec)
     y = tuple(Fraction(v) for v in yvec)
-    from .vertex_algebra import heisenberg_mode
-
     lhs = heisenberg_mode(x, n, heisenberg_mode(y, m, s)) - heisenberg_mode(
         y, m, heisenberg_mode(x, n, s)
     )
     expect = (
         (Fraction(n) * lat.qsym(x, y)) * s if n + m == 0 and n != 0 else VAState(lat, {})
     )
-    return _state_residual(lhs - expect)
+    return _residual(lhs - expect)
 
 
 def _eval_skew(payload) -> Fraction:
@@ -264,8 +261,6 @@ def _eval_skew(payload) -> Fraction:
     lat = _lattice_for(qtext)
     a = _state_from_wire(lat, awire)
     b = _state_from_wire(lat, bwire)
-    from .vertex_algebra import max_nonzero_mode, translate
-
     lhs = vertex_mode(a, n, b)
     rhs = VAState(lat, {})
     top = max_nonzero_mode(b, a)
@@ -281,7 +276,7 @@ def _eval_skew(payload) -> Fraction:
         i += 1
         sign = -sign
         fact *= i
-    return _state_residual(lhs - rhs)
+    return _residual(lhs - rhs)
 
 
 def _binom_gen(m: int, i: int) -> Fraction:
@@ -298,8 +293,6 @@ def _eval_iterate(payload) -> Fraction:
     a = _state_from_wire(lat, awire)
     a2 = _state_from_wire(lat, a2wire)
     b = _state_from_wire(lat, bwire)
-    from .vertex_algebra import max_nonzero_mode
-
     lhs = vertex_mode(a, m, vertex_mode(a2, n, b)) - vertex_mode(
         a2, n, vertex_mode(a, m, b)
     )
@@ -310,7 +303,7 @@ def _eval_iterate(payload) -> Fraction:
         if inner.is_zero():
             continue
         rhs = rhs + _binom_gen(m, j) * vertex_mode(inner, m + n - j, b)
-    return _state_residual(lhs - rhs)
+    return _residual(lhs - rhs)
 
 
 def _eval_virasoro(payload) -> Fraction:
@@ -321,14 +314,14 @@ def _eval_virasoro(payload) -> Fraction:
     rhs = (Fraction(n - m)) * virasoro_mode(n + m, s)
     if n + m == 0:
         rhs = rhs + Fraction((n**3 - n) * lat.rank, 12) * s
-    return _state_residual(lhs - rhs)
+    return _residual(lhs - rhs)
 
 
 def _eval_bracket_base(payload) -> Fraction:
     qtext, sector = payload
     lat = _lattice_for(qtext)
     s = vacuum(lat, tuple(Fraction(x) for x in sector))
-    return _state_residual(k0_residual(s))
+    return _residual(k0_residual(s))
 
 
 def _eval_bracket_pair(payload) -> Fraction:
@@ -336,7 +329,7 @@ def _eval_bracket_pair(payload) -> Fraction:
     lat = _lattice_for(qtext)
     a = _state_from_wire(lat, awire)
     b = _state_from_wire(lat, bwire)
-    return _state_residual(k0_residual(vertex_mode(a, 0, b)))
+    return _residual(k0_residual(vertex_mode(a, 0, b)))
 
 
 _EVALUATORS = {
@@ -356,7 +349,17 @@ _EVALUATORS = {
 def _run_case(case):
     suite, case_id, kind, payload = case
     t0 = time.perf_counter()
-    residual = _EVALUATORS[kind](payload)
+    try:
+        residual = _EVALUATORS[kind](payload)
+    except Exception as exc:  # one raising case must not abort the run
+        return {
+            "suite": suite,
+            "case": case_id,
+            "status": "error",
+            "residual": None,
+            "error": f"{type(exc).__name__}: {exc}",
+            "ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        }
     ms = (time.perf_counter() - t0) * 1000.0
     return {
         "suite": suite,
@@ -424,8 +427,6 @@ def _build_duality(args):
     q, _, _ = parse_quiver(qtext)
     if q.frozen:
         raise SystemExit("qvc: the duality suite expects an unframed quiver")
-    from .quivers import framify
-
     fr = framify(q)
     fr_text = serialize_quiver(fr)
     kmax = 3 if args.kmax is None else args.kmax
@@ -440,13 +441,11 @@ def _build_duality(args):
     taus = {d: [] for d in range(0, degmax + 1)}
     for p in enumerate_monomials(q.vertices, degmax):
         taus[p.degree() if not p.is_zero() else 0].append(poly_to_str(p))
-    from .vertex_algebra import _osc_monomials
-
     lat = Lattice.from_quiver(fr)
     # The framified check runs over the full oscillator algebra; the embedded
     # check pairs against the unframed descendent algebra, so its states use
     # base-vertex oscillators only.
-    osc_full = {d: list(_osc_monomials(lat, d)) for d in range(0, degmax + 1)}
+    osc_full = {d: list(osc_monomials(lat, d)) for d in range(0, degmax + 1)}
     base = set(q.vertices)
     osc_base = {
         d: [m for m in monos if all(v in base for v, _, _ in m)]
@@ -513,14 +512,11 @@ def _build_va_axioms(args):
     qtext, _, _ = _load_quiver(args)
     q, _, _ = parse_quiver(qtext)
     if not q.frozen:
-        from .quivers import framify
-
         q = framify(q)
         qtext = serialize_quiver(q)
     lat = Lattice.from_quiver(q)
     samples = 200 if args.samples is None else args.samples
     rng = random.Random(20240 + len(q.vertices))
-    from .vertex_algebra import max_nonzero_mode
 
     # Mode-window and depth budgets keep each case in the millisecond range
     # (higher-rank lattices have far larger oscillator spaces per degree);
@@ -600,8 +596,6 @@ def _build_bracket(args):
     qtext, _, _ = _load_quiver(args)
     q, _, _ = parse_quiver(qtext)
     if not q.frozen:
-        from .quivers import framify
-
         q = framify(q)
         qtext = serialize_quiver(q)
     lat = Lattice.from_quiver(q)
@@ -620,9 +614,6 @@ def _build_bracket(args):
 
     # Pool of residual-free states: kernel of the zero-mode residual per
     # (sector, oscillator degree), found by exact linear algebra.
-    from .linalg import kernel_basis
-    from .vertex_algebra import _osc_monomials
-
     pool = []
     span = (-1, 0, 1)
     sectors = [tuple(Fraction(c) for c in coords) for coords in product(span, repeat=lat.rank)]
@@ -635,7 +626,7 @@ def _build_bracket(args):
         for deg in (0, 1, 2):
             if deg == 2 and lat.rank > 2 and sum(1 for x in sec if x) > 1:
                 continue
-            monos = _osc_monomials(lat, deg)
+            monos = osc_monomials(lat, deg)
             if not monos:
                 continue
             images = []
@@ -660,8 +651,6 @@ def _build_bracket(args):
 
     # Window-budgeted pair sampling keeps each bracket evaluation cheap;
     # accepted pairs are exact closure checks.
-    from .vertex_algebra import max_nonzero_mode
-
     cap = 3 if lat.rank <= 2 else 2
     rng = random.Random(424242)
     for idx in range(samples):
@@ -702,13 +691,15 @@ def _run_check(args) -> int:
         results = [_run_case(c) for c in cases]
 
     report_lines = []
-    failures = 0
+    failures = errors = 0
     for row in results:
         line = json.dumps(row, sort_keys=True)
         print(line)
         report_lines.append(line)
-        if row["status"] != "pass":
+        if row["status"] == "fail":
             failures += 1
+        elif row["status"] == "error":
+            errors += 1
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write("\n".join(report_lines) + ("\n" if report_lines else ""))
@@ -716,14 +707,15 @@ def _run_check(args) -> int:
     elapsed = time.perf_counter() - t0
     total = len(results)
     print(
-        f"suite {args.suite}: {total} cases, {failures} failed, {elapsed:.2f}s",
+        f"suite {args.suite}: {total} cases, {failures} failed, {errors} errors, {elapsed:.2f}s",
         file=sys.stderr,
     )
-    if failures:
+    if failures or errors:
         worst = [r for r in results if r["status"] != "pass"][:5]
         for r in worst:
-            print(f"  FAIL {r['case']} residual={r['residual']}", file=sys.stderr)
-    return 0 if failures == 0 else 1
+            detail = r.get("error") or f"residual={r['residual']}"
+            print(f"  {r['status'].upper()} {r['case']} {detail}", file=sys.stderr)
+    return 0 if failures == errors == 0 else 1
 
 
 def _run_integrate(args) -> int:

@@ -136,6 +136,20 @@ def _mono_degree(m: OscMonomial) -> int:
     return sum(k * p for _, k, p in m)
 
 
+def _drop_factor(m: OscMonomial, pos: int) -> OscMonomial:
+    """m with one power of its factor at position pos removed."""
+    b, k, p = m[pos]
+    if p == 1:
+        return m[:pos] + m[pos + 1:]
+    return m[:pos] + ((b, k, p - 1),) + m[pos + 1:]
+
+
+def _add_into(out: dict, terms: Mapping, scale: Fraction) -> None:
+    """out += scale * terms, in place."""
+    for key, c in terms.items():
+        out[key] = out.get(key, _ZERO) + scale * c
+
+
 class VAState:
     """Immutable exact linear combination of ``e^sector (x) monomial``."""
 
@@ -259,12 +273,8 @@ def translate(s: VAState) -> VAState:
             if a:
                 add((sec, _mono_mul(mono, ((b, 1, 1),))), c * a)
         for pos, (b, k, p) in enumerate(mono):
-            rest = list(mono)
-            if p == 1:
-                del rest[pos]
-            else:
-                rest[pos] = (b, k, p - 1)
-            add((sec, _mono_mul(tuple(rest), ((b, k + 1, 1),))), c * p * k)
+            add((sec, _mono_mul(_drop_factor(mono, pos), ((b, k + 1, 1),))),
+                c * p * k)
     return VAState(L, out)
 
 
@@ -300,14 +310,8 @@ def heisenberg_mode(x, n: int, s: VAState) -> VAState:
                 if k != n:
                     continue
                 w = pair[L.index(b)]
-                if not w:
-                    continue
-                rest = list(mono)
-                if p == 1:
-                    del rest[pos]
-                else:
-                    rest[pos] = (b, k, p - 1)
-                add((sec, tuple(rest)), c * w * n * p)
+                if w:
+                    add((sec, _drop_factor(mono, pos)), c * w * n * p)
     return VAState(L, out)
 
 
@@ -327,13 +331,8 @@ def _apply_deriv(L: Lattice, coeffs: list[Fraction], k: int,
                 w = coeffs[L.index(b)]
                 if not w:
                     continue
-                rest = list(mono)
-                if p == 1:
-                    del rest[pos]
-                else:
-                    rest[pos] = (b, kk, p - 1)
                 tgt = out.setdefault(z, {})
-                key = tuple(rest)
+                key = _drop_factor(mono, pos)
                 tgt[key] = tgt.get(key, _ZERO) + c * w * p
     return out
 
@@ -450,13 +449,14 @@ def vertex_mode(a: VAState, n: int, b: VAState) -> VAState:
     if a.lattice != b.lattice:
         raise ValueError("states live over different lattices")
     L = a.lattice
-    out = VAState(L)
+    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
     for (alpha, amono), ac in a.terms.items():
         factors: list[tuple[str, int]] = []
         for v, k, p in amono:
             factors.extend([(v, k)] * p)
-        out = out + ac * _vertex_mode_impl(L, alpha, tuple(factors), n, b)
-    return out
+        _add_into(out, _vertex_mode_impl(L, alpha, tuple(factors), n, b).terms,
+                  ac)
+    return VAState(L, out)
 
 
 def _vertex_mode_impl(L: Lattice, alpha: Sector,
@@ -478,7 +478,6 @@ def _vertex_mode_impl(L: Lattice, alpha: Sector,
                 # Gamma^+; all act on sector beta
                 zstate: dict[int, dict[OscMonomial, Fraction]] = {
                     0: {bmono: bc}}
-                dead = False
                 for v, k in ann:
                     vsign = -1 if (k - 1) % 2 else 1
                     vpair = [L.qsym(v, bb) for bb in L.basis]
@@ -499,19 +498,13 @@ def _vertex_mode_impl(L: Lattice, alpha: Sector,
                                 w = vpair[L.index(bb)]
                                 if not w:
                                     continue
-                                rest = list(mono)
-                                if p == 1:
-                                    del rest[pos]
-                                else:
-                                    rest[pos] = (bb, j, p - 1)
-                                addz(z - j - k, tuple(rest),
+                                addz(z - j - k, _drop_factor(mono, pos),
                                      c * vsign * comb(j + k - 1, k - 1)
                                      * w * j * p)
                     zstate = nxt
                     if not zstate:
-                        dead = True
                         break
-                if dead:
+                if not zstate:
                     continue
                 zstate = _apply_gamma_plus(L, alpha_pair, zstate)
                 # creation phase: need z^(-n-1); an entry at relative power
@@ -566,64 +559,78 @@ def max_nonzero_mode(a: VAState, b: VAState) -> int:
 def conformal_element(L: Lattice) -> VAState:
     """omega = (1/2) sum_b bhat_{(-1)} b_{(-1)} |0>, bhat dual wrt Q_sym.
 
-    Equivalently sum_v vhat_{(-1)} v_{(-1)} |0> with the 1/2 absorbed into
-    the dual-basis normalization; both assemblies are computed and must
-    agree.  Errors when the symmetrized form is degenerate.
+    It equals L_{-2}|0> of the closed-form virasoro_mode; both routes are
+    computed and must agree.  Errors when the symmetrized form is degenerate.
     """
-    duals = L.dual_basis()
-    omega = VAState(L)
-    for b, bhat in zip(L.basis, duals):
-        omega = omega + Fraction(1, 2) * heisenberg_mode(
-            bhat, -1, heisenberg_mode(b, -1, vacuum(L)))
-    halved = VAState(L)
-    for b, bhat in zip(L.basis, duals):
-        half = tuple(c / 2 for c in bhat)
-        halved = halved + heisenberg_mode(
-            half, -1, heisenberg_mode(b, -1, vacuum(L)))
-    assert omega == halved, "conformal element assemblies disagree"
-    return omega
+    omega: dict[tuple[Sector, OscMonomial], Fraction] = {}
+    for b, bhat in zip(L.basis, L.dual_basis()):
+        _add_into(omega, heisenberg_mode(bhat, -1, heisenberg_mode(b, -1, vacuum(L))).terms,
+                  Fraction(1, 2))
+    omega_state = VAState(L, omega)
+    assert omega_state == virasoro_mode(-2, vacuum(L)), "conformal element routes disagree"
+    return omega_state
 
 
 def virasoro_mode(k: int, s: VAState, L: Lattice | None = None) -> VAState:
-    """L_k s by the closed-form mode sums of the conformal field.
-
-    L_k = (1/2) sum_v [ sum_{i,j>=1, i+j=-k} vhat_{(-i)} v_{(-j)}
-          + sum_{i>=1, j>=0, j-i=k} (vhat_{(-i)} v_{(j)} + v_{(-i)} vhat_{(j)})
-          + sum_{i,j>=0, i+j=k} vhat_{(i)} v_{(j)} ]
-    with annihilation indices truncated by the state's depth.  Agrees with
-    the generic route vertex_mode(omega, k+1, s) (cross-checked in tests).
+    """L_k s by the free-boson (Sugawara) closed form of (1/2) sum_v
+    :vhat(z) v(z):, one term e^alpha (x) m at a time.  With G = Q_sym^{-1}:
+      L_k = 1/2 sum_{i+j=-k; i,j>=1} sum_{a,b} G[a][b] x[a,i] x[b,j]   (k <= -2)
+          + sum_b alpha_b x[b,-k]                                     (k <= -1)
+          + sum_{factors x[b,j] of m, j-k >= 1} j x[b,j-k] d/dx[b,j]
+          + q(alpha, alpha)                                           (k = 0)
+          + k sum_b Q_sym(alpha,b) d/dx[b,k]
+            + 1/2 sum_{i+j=k; i,j>=1} i j sum_{b,c} Q_sym(b,c)
+              d/dx[b,i] d/dx[c,j]                                     (k >= 1)
+    Agrees with vertex_mode(omega, k+1, s) (cross-checked in tests).
     """
     if L is None:
         L = s.lattice
     elif L != s.lattice:
         raise ValueError("lattice mismatch")
     duals = L._duals
+    basis, qsym = L.basis, L._qsym
     half = Fraction(1, 2)
-    depth = s.osc_degree()
-    out = VAState(L)
-    for v, vhat in zip(L.basis, duals):
-        if k <= -2:
-            for i in range(1, -k):
-                j = -k - i
-                out = out + half * heisenberg_mode(
-                    vhat, -i, heisenberg_mode(v, -j, s))
-        for j in range(0, depth + 1):
-            i = j - k
-            if i >= 1:
-                out = out + half * heisenberg_mode(
-                    vhat, -i, heisenberg_mode(v, j, s))
-                out = out + half * heisenberg_mode(
-                    v, -i, heisenberg_mode(vhat, j, s))
-        if k >= 0:
-            for i in range(0, k + 1):
-                j = k - i
-                if j > depth and j != 0:
-                    continue
-                inner = heisenberg_mode(v, j, s)
-                if inner.is_zero():
-                    continue
-                out = out + half * heisenberg_mode(vhat, i, inner)
-    return out
+    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
+
+    def add(key, c):
+        if c:
+            out[key] = out.get(key, _ZERO) + c
+
+    # the creation pair multiplies every term by the same polynomial
+    create: dict[OscMonomial, Fraction] = {}
+    for i in range(1, -k):
+        for b, dual in zip(basis, duals):
+            for a, g in zip(basis, dual):
+                m = _mono_mul(((a, i, 1),), ((b, -k - i, 1),))
+                create[m] = create.get(m, _ZERO) + half * g
+    for (sec, mono), c in s.terms.items():
+        for m, g in create.items():
+            add((sec, _mono_mul(mono, m)), c * g)
+        if k <= -1:
+            for b, a in zip(basis, sec):
+                if a:
+                    add((sec, _mono_mul(mono, ((b, -k, 1),))), c * a)
+        for pos, (b, j, p) in enumerate(mono):
+            if j - k >= 1:
+                add((sec, _mono_mul(_drop_factor(mono, pos), ((b, j - k, 1),))),
+                    c * j * p)
+        if k < 0:
+            continue
+        row = L.pair_row(sec)
+        if k == 0:
+            add((sec, mono), c * half * sum(a * w for a, w in zip(sec, row)))
+            continue
+        for pos, (b, i, p) in enumerate(mono):
+            if i == k:
+                add((sec, _drop_factor(mono, pos)), c * k * p * row[L.index(b)])
+            elif i < k:
+                rest = _drop_factor(mono, pos)
+                qrow = qsym[L.index(b)]
+                for pos2, (b2, j, p2) in enumerate(rest):
+                    if i + j == k:
+                        add((sec, _drop_factor(rest, pos2)),
+                            c * half * i * j * p * p2 * qrow[L.index(b2)])
+    return VAState(L, out)
 
 
 def central_charge(L: Lattice) -> int:
@@ -713,7 +720,7 @@ def k0_residual(s: VAState) -> VAState:
     """sum_{j >= -1} ((-1)^j/(j+1)!) T^{j+1} L_j(s); truncates at the
     oscillator degree of s.  Vanishing characterizes the K_0 space; the
     same element equals vertex_mode(s, 0, omega) (cross-checked)."""
-    out = VAState(s.lattice)
+    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
     for j in range(-1, s.osc_degree() + 1):
         term = virasoro_mode(j, s)
         if term.is_zero():
@@ -721,8 +728,8 @@ def k0_residual(s: VAState) -> VAState:
         for _ in range(j + 1):
             term = translate(term)
         sign = -1 if j % 2 else 1
-        out = out + Fraction(sign, factorial(j + 1)) * term
-    return out
+        _add_into(out, term.terms, Fraction(sign, factorial(j + 1)))
+    return VAState(s.lattice, out)
 
 
 class CosetState:
@@ -759,7 +766,8 @@ class CosetState:
         return CosetState(self.rep - other.rep)
 
 
-def _osc_monomials(L: Lattice, degree: int) -> list[OscMonomial]:
+def osc_monomials(L: Lattice, degree: int) -> list[OscMonomial]:
+    """Every oscillator monomial of total degree ``degree``, sorted."""
     gens = [(b, k) for b in L.basis for k in range(1, degree + 1)]
     found: set[OscMonomial] = set()
 
@@ -778,26 +786,23 @@ def _osc_monomials(L: Lattice, degree: int) -> list[OscMonomial]:
 
 def _coset_normal_form(s: VAState) -> VAState:
     L = s.lattice
-    out = VAState(L)
+    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
     for (sec, deg_s), comp in s.degree_components().items():
         oscdeg = deg_s - int(L.q(sec, sec))
-        cols = _osc_monomials(L, oscdeg)
+        cols = osc_monomials(L, oscdeg)
         col_index = {m: i for i, m in enumerate(cols)}
-        rows = []
-        if oscdeg >= 1:
-            for m in _osc_monomials(L, oscdeg - 1):
-                img = translate(VAState(L, {(sec, m): _ONE}))
-                row = [_ZERO] * len(cols)
-                for (sec2, mono), c in img.terms.items():
-                    row[col_index[mono]] = c
-                rows.append(row)
-        vec = [_ZERO] * len(cols)
-        for (sec2, mono), c in comp.terms.items():
-            vec[col_index[mono]] = c
-        red = _reduce_against(rows, vec)
-        out = out + VAState(L, {(sec, m): red[i]
-                                for i, m in enumerate(cols) if red[i]})
-    return out
+
+        def dense(state: VAState) -> list[Fraction]:
+            vec = [_ZERO] * len(cols)
+            for (_, mono), c in state.terms.items():
+                vec[col_index[mono]] = c
+            return vec
+
+        rows = [dense(translate(VAState(L, {(sec, m): _ONE})))
+                for m in osc_monomials(L, oscdeg - 1)]
+        # components differ in sector or oscillator degree: no key repeats
+        out.update(((sec, m), c) for m, c in zip(cols, _reduce_against(rows, dense(comp))))
+    return VAState(L, out)
 
 
 def _reduce_against(rows: list[list[Fraction]], vec: list[Fraction]):

@@ -24,9 +24,9 @@ from quiver_virasoro.quivers import euler_form, framify, preset
 from quiver_virasoro.vertex_algebra import (
     Lattice,
     VAState,
-    _osc_monomials,
     central_charge,
     k0_residual,
+    osc_monomials,
     vacuum,
     virasoro_mode,
 )
@@ -83,12 +83,10 @@ def test_criterion_1_descendent_commutators():
         ctx = context(q, dims)
         for p in enumerate_monomials(q.vertices, 6):
             first = {k: apply_L(k, p, ctx) for k in range(-1, 4)}
-            comp = {}
+            comp = {(n, m): apply_L(n, first[m], ctx) for n in first for m in first}
             for n in range(-1, 4):
                 for m in range(-1, 4):
-                    lhs = comp.setdefault(
-                        (n, m), apply_L(n, first[m], ctx)
-                    ) - comp.setdefault((m, n), apply_L(m, first[n], ctx))
+                    lhs = comp[(n, m)] - comp[(m, n)]
                     if m == n:
                         rhs = lhs - lhs
                     else:
@@ -169,17 +167,15 @@ def test_criterion_5_virasoro_central_charge():
             (1, 1) + (0,) * (lat.rank - 2),
         ]
         for deg in range(1, 5):
-            monos = _osc_monomials(lat, deg)
+            monos = osc_monomials(lat, deg)
             sec = tuple(Fraction(x) for x in sector_pool[deg % len(sector_pool)])
             states.append(VAState(lat, {(sec, monos[len(monos) // 2]): Fraction(1)}))
         for s in states:
             first = {m: virasoro_mode(m, s) for m in range(-3, 4)}
-            cache = {}
+            comp = {(n, m): virasoro_mode(n, first[m]) for n in first for m in first}
             for n in range(-3, 4):
                 for m in range(-3, 4):
-                    lhs = cache.setdefault(
-                        (n, m), virasoro_mode(n, first[m])
-                    ) - cache.setdefault((m, n), virasoro_mode(m, first[n]))
+                    lhs = comp[(n, m)] - comp[(m, n)]
                     rhs = Fraction(n - m) * (
                         first[n + m] if -3 <= n + m <= 3 else virasoro_mode(n + m, s)
                     )

@@ -238,3 +238,52 @@ def test_malformed_quiver_file_is_rejected(tmp_path):
 def test_unknown_suite_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         cli.main(["check", "nosuchsuite"])
+
+
+# ---------------------------------------------------------------------------
+# a raising case becomes an error row
+
+
+def test_raising_case_becomes_an_error_row(capsys, monkeypatch):
+    argv = ["check", "commutators", "--preset", "A_1", "--kmax", "1", "--degmax", "1"]
+    assert cli.main(argv) == 0
+    clean = _rows(capsys.readouterr().out)
+    evaluate = cli._EVALUATORS["commutator"]
+
+    def flaky(payload):
+        if payload[4:] == (0, 1, "t[1,1]"):
+            raise RuntimeError("boom")
+        return evaluate(payload)
+
+    monkeypatch.setitem(cli._EVALUATORS, "commutator", flaky)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    rows = _rows(captured.out)
+    errors = [r for r in rows if r["status"] == "error"]
+    assert [r["case"] for r in errors] == ["n=0,m=1,p=t[1,1]"]
+    assert errors[0]["error"] == "RuntimeError: boom" and errors[0]["residual"] is None
+    assert _sans_ms([r for r in rows if r["status"] != "error"]) == _sans_ms(
+        [r for r in clean if r["case"] != "n=0,m=1,p=t[1,1]"])
+    assert "0 failed, 1 errors" in captured.err
+    assert "ERROR n=0,m=1,p=t[1,1] RuntimeError: boom" in captured.err
+
+
+def test_error_rows_agree_across_jobs(tmp_path):
+    # Q_sym of this quiver is degenerate, so its Virasoro cases raise
+    qfile = tmp_path / "degenerate.quiver"
+    qfile.write_text("vertex s frozen\nvertex t\n")
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiver_virasoro.cli", "check", "va-axioms",
+             "--quiver", str(qfile), "--samples", "8", "--jobs", jobs],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        outs.append(_sans_ms(_rows(proc.stdout)))
+    assert outs[0] == outs[1] and len(outs[0]) == 26
+    errors = [r for r in outs[0] if r["status"] == "error"]
+    assert errors and all(r["case"].startswith("virasoro[") for r in errors)
+    assert {r["error"] for r in errors} == {
+        "ValueError: symmetrized form is degenerate; no dual basis"}
+    assert all(r["status"] == "pass" for r in outs[0] if r not in errors)

@@ -21,6 +21,7 @@ from quiver_virasoro.vertex_algebra import (
     k0_residual,
     lie_bracket,
     max_nonzero_mode,
+    osc_monomials,
     pairing,
     translate,
     vacuum,
@@ -185,9 +186,8 @@ def test_virasoro_low_modes_are_translation_and_grading():
     for _ in range(12):
         sector = tuple(Fraction(rng.randint(-1, 1)) for _ in lat.basis)
         deg = rng.randint(0, 3)
-        from quiver_virasoro.vertex_algebra import _osc_monomials
 
-        monos = _osc_monomials(lat, deg)
+        monos = osc_monomials(lat, deg)
         mono = monos[rng.randrange(len(monos))]
         s = _mono_state(lat, sector, mono)
         assert virasoro_mode(-1, s) == translate(s)
@@ -200,12 +200,11 @@ def test_virasoro_matches_vertex_modes_of_omega():
     lat = _lat()
     omega = conformal_element(lat)
     rng = random.Random(31)
-    from quiver_virasoro.vertex_algebra import _osc_monomials
 
     for _ in range(10):
         sector = tuple(Fraction(rng.randint(-1, 1)) for _ in lat.basis)
         deg = rng.randint(0, 3)
-        monos = _osc_monomials(lat, deg)
+        monos = osc_monomials(lat, deg)
         s = _mono_state(lat, sector, monos[rng.randrange(len(monos))])
         for k in range(-2, 3):
             assert virasoro_mode(k, s) == vertex_mode(omega, k + 1, s), (k, deg)
@@ -216,11 +215,10 @@ def test_virasoro_commutators_with_central_term():
         lat = _lat(name)
         assert central_charge(lat) == c
         rng = random.Random(77)
-        from quiver_virasoro.vertex_algebra import _osc_monomials
 
         states = []
         for deg in range(0, 4):
-            monos = _osc_monomials(lat, deg)
+            monos = osc_monomials(lat, deg)
             sector = tuple(Fraction(rng.randint(-1, 1)) for _ in lat.basis)
             states.append(_mono_state(lat, sector, monos[rng.randrange(len(monos))]))
         for s in states:
@@ -264,14 +262,13 @@ def test_exp_commutation_sign():
 def test_max_nonzero_mode_is_an_upper_bound():
     lat = _lat()
     rng = random.Random(41)
-    from quiver_virasoro.vertex_algebra import _osc_monomials
 
     for _ in range(10):
         sa = tuple(Fraction(rng.randint(-1, 1)) for _ in lat.basis)
         sb = tuple(Fraction(rng.randint(-1, 1)) for _ in lat.basis)
         da, db = rng.randint(0, 2), rng.randint(0, 2)
-        a = _mono_state(lat, sa, _osc_monomials(lat, da)[0])
-        b = _mono_state(lat, sb, _osc_monomials(lat, db)[-1])
+        a = _mono_state(lat, sa, osc_monomials(lat, da)[0])
+        b = _mono_state(lat, sb, osc_monomials(lat, db)[-1])
         top = max_nonzero_mode(a, b)
         for extra in range(0, 3):
             assert vertex_mode(a, top + 1 + extra, b).is_zero()
@@ -320,7 +317,6 @@ def test_duality_with_delta_on_framified_context():
     lat = _lat()
     q = framify(preset("A_1"))
     from quiver_virasoro.descendents import context, enumerate_monomials
-    from quiver_virasoro.vertex_algebra import _osc_monomials
 
     ctx = context(q, (1, 1))
     taus = list(enumerate_monomials(("1",), 3))
@@ -329,7 +325,7 @@ def test_duality_with_delta_on_framified_context():
             want = tp.degree() + k if not tp.is_zero() else k
             if want < 0 or want > 3:
                 continue
-            for mono in _osc_monomials(lat, want):
+            for mono in osc_monomials(lat, want):
                 s = _mono_state(lat, (1, 1), mono)
                 assert dual_check(k, tp, s, lat, ctx=ctx), (k, mono)
 
@@ -338,7 +334,6 @@ def test_duality_without_delta_on_embedded_context():
     lat = _lat()
     q = preset("A_1")
     from quiver_virasoro.descendents import context, enumerate_monomials
-    from quiver_virasoro.vertex_algebra import _osc_monomials
 
     ctx = context(q, (1,))
     taus = list(enumerate_monomials(("1",), 3))
@@ -347,7 +342,7 @@ def test_duality_without_delta_on_embedded_context():
             want = tp.degree() + k if not tp.is_zero() else k
             if want < 0 or want > 3:
                 continue
-            for mono in _osc_monomials(lat, want):
+            for mono in osc_monomials(lat, want):
                 if any(v != "1" for v, _, _ in mono):
                     continue  # embedded states carry base oscillators only
                 s = _mono_state(lat, (0, 1), mono)
@@ -360,11 +355,10 @@ def test_duality_delta_term_matters_at_k_zero():
     lat = _lat()
     q = framify(preset("A_1"))
     from quiver_virasoro.descendents import apply_L, context
-    from quiver_virasoro.vertex_algebra import _osc_monomials
 
     ctx = context(q, (1, 1))
     broken = 0
-    for mono in _osc_monomials(lat, 1):
+    for mono in osc_monomials(lat, 1):
         s = _mono_state(lat, (1, 1), mono)
         lhs = pairing(apply_L(0, tau(1, "1"), ctx), s, ctx)
         rhs_noshift = pairing(tau(1, "1"), virasoro_mode(0, s, lat), ctx)
@@ -395,12 +389,11 @@ def test_k0_residual_agrees_with_zero_mode_of_omega():
     lat = _lat()
     omega = conformal_element(lat)
     rng = random.Random(55)
-    from quiver_virasoro.vertex_algebra import _osc_monomials
 
     for _ in range(12):
         sector = tuple(Fraction(rng.randint(-1, 1)) for _ in lat.basis)
         deg = rng.randint(0, 3)
-        monos = _osc_monomials(lat, deg)
+        monos = osc_monomials(lat, deg)
         s = _mono_state(lat, sector, monos[rng.randrange(len(monos))])
         assert k0_residual(s) == vertex_mode(s, 0, omega), (sector, deg)
 
@@ -462,7 +455,8 @@ def _ref_heisenberg(x, n, s):
 
 
 def _ref_virasoro(k, s):
-    """L_k s by the closed-form mode sums, inverting Q_sym on every call."""
+    """L_k s composed from Heisenberg modes, (1/2) sum_v :vhat(z) v(z): mode
+    by mode (the former virasoro_mode body), inverting Q_sym on every call."""
     L = s.lattice
     inv = linalg.inverse(L.qsym_matrix())
     duals = [tuple(row[j] for row in inv) for j in range(L.rank)]
@@ -505,3 +499,40 @@ def test_cached_rows_and_duals_match_per_call_recomputation(state_and_x):
             s.lattice.basis[n], n, s), n
     for k in range(-2, 4):
         assert virasoro_mode(k, s) == _ref_virasoro(k, s), k
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Virasoro modes against the Heisenberg composition
+
+
+@st.composite
+def _shallow_states(draw):
+    """Up to 2 terms of oscillator depth <= 4 in one sector in [-2, 2]^rank."""
+    lat = _REF_LATTICES[draw(st.sampled_from(sorted(_REF_LATTICES)))]
+    sector = tuple(draw(st.lists(st.integers(-2, 2), min_size=lat.rank, max_size=lat.rank)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        mono, left = (), draw(st.integers(0, 4))
+        while left:
+            k = draw(st.integers(1, left))
+            mono = _mono_mul(mono, ((draw(st.sampled_from(lat.basis)), k, 1),))
+            left -= k
+        terms[(sector, mono)] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return VAState(lat, terms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_shallow_states())
+def test_closed_form_virasoro_matches_heisenberg_composition(s):
+    for k in range(-4, 5):
+        assert virasoro_mode(k, s) == _ref_virasoro(k, s), k
+
+
+_OMEGAS = {lat: conformal_element(lat) for lat in _REF_LATTICES.values()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(_shallow_states())
+def test_closed_form_virasoro_matches_vertex_modes_of_omega(s):
+    for k in range(-4, 5):
+        assert virasoro_mode(k, s) == vertex_mode(_OMEGAS[s.lattice], k + 1, s), k
