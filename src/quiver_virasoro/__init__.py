@@ -1,16 +1,21 @@
 """Virasoro constraints for quiver moduli.
 
-The package has five layers:
+The package has six layers:
 
 * :mod:`quiver_virasoro.linalg` -- exact rational linear algebra used
   throughout (row reduction, determinants, kernels).
+* :mod:`quiver_virasoro.monomials` -- the sparse-monomial kernel shared by
+  the two polynomial algebras below: the monomial format, product, degree,
+  factor removal, term accumulation and enumeration by degree.
 * :mod:`quiver_virasoro.quivers` -- quivers with frozen vertices, their
   numerical invariants, framing constructions, and a text format.
-* :mod:`quiver_virasoro.descendents` -- the free descendent algebra and the
-  Virasoro-type operators acting on it, framed and unframed.
+* :mod:`quiver_virasoro.descendents` -- the free descendent algebra, built
+  on :mod:`~quiver_virasoro.monomials`, and the Virasoro-type operators
+  acting on it, framed and unframed.
 * :mod:`quiver_virasoro.vertex_algebra` -- the lattice vertex algebra
-  attached to a quiver: Fock states, vertex operator modes, the conformal
-  element, the residue pairing, and the induced bracket.
+  attached to a quiver, built on :mod:`~quiver_virasoro.monomials`: Fock
+  states, vertex operator modes, the conformal element, the residue
+  pairing, and the induced bracket.
 * :mod:`quiver_virasoro.flags` -- partial flag varieties as framed quiver
   moduli: fixed points, tangent weights, localization integrals, and the
   constraint residuals checked by the CLI.

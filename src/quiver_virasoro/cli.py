@@ -44,6 +44,7 @@ from fractions import Fraction
 from itertools import product
 from multiprocessing import Pool
 
+from . import monomials
 from .descendents import (
     DescPoly,
     VirContext,
@@ -185,7 +186,7 @@ def _lattice_for(qtext: str) -> Lattice:
 
 def _state_from_wire(lat: Lattice, wire) -> VAState:
     terms = {
-        (tuple(Fraction(x) for x in sector), tuple((v, k, p) for v, k, p in mono)): Fraction(coeff)
+        (tuple(int(x) for x in sector), tuple((v, k, p) for v, k, p in mono)): Fraction(coeff)
         for sector, mono, coeff in wire
     }
     return VAState(lat, terms)
@@ -229,7 +230,7 @@ def _eval_duality(payload) -> Fraction:
     qtext, fr_qtext, variant, k, ptext, sector, mono = payload
     lat = _lattice_for(fr_qtext)
     tau_p = parse_poly(ptext)
-    state = VAState(lat, {(tuple(Fraction(x) for x in sector), tuple(mono)): Fraction(1)})
+    state = VAState(lat, {(tuple(int(x) for x in sector), tuple(mono)): Fraction(1)})
     if variant == "framified":
         ctx = _ctx_for(fr_qtext, tuple(int(x) for x in sector), None)
     else:
@@ -320,7 +321,7 @@ def _eval_virasoro(payload) -> Fraction:
 def _eval_bracket_base(payload) -> Fraction:
     qtext, sector = payload
     lat = _lattice_for(qtext)
-    s = vacuum(lat, tuple(Fraction(x) for x in sector))
+    s = vacuum(lat, tuple(int(x) for x in sector))
     return _residual(k0_residual(s))
 
 
@@ -483,21 +484,13 @@ def _random_state(rng: random.Random, lat: Lattice, sector, max_depth: int) -> V
     """A small random oscillator state in the given sector (depth <= max_depth)."""
     terms = {}
     for _ in range(rng.randint(1, 2)):
-        mono = []
-        depth = rng.randint(0, max_depth)
-        left = depth
+        mono = ()
+        left = rng.randint(0, max_depth)
         while left > 0:
             k = rng.randint(1, left)
-            v = rng.choice(lat.basis)
-            mono.append((v, k))
+            mono = monomials.mul(mono, ((rng.choice(lat.basis), k, 1),))
             left -= k
-        key = {}
-        for v, k in mono:
-            key[(v, k)] = key.get((v, k), 0) + 1
-        mono_t = tuple(sorted((v, k, p) for (v, k), p in key.items()))
-        terms[(sector, mono_t)] = terms.get((sector, mono_t), Fraction(0)) + Fraction(
-            rng.randint(-3, 3)
-        )
+        monomials.add_into(terms, (sector, mono), Fraction(rng.randint(-3, 3)))
     terms = {key: c for key, c in terms.items() if c}
     if not terms:
         terms = {(sector, ()): Fraction(1)}
@@ -505,7 +498,7 @@ def _random_state(rng: random.Random, lat: Lattice, sector, max_depth: int) -> V
 
 
 def _random_sector(rng: random.Random, lat: Lattice, lo=-2, hi=2):
-    return tuple(Fraction(rng.randint(lo, hi)) for _ in lat.basis)
+    return tuple(rng.randint(lo, hi) for _ in lat.basis)
 
 
 def _build_va_axioms(args):
@@ -604,11 +597,8 @@ def _build_bracket(args):
     cases = []
     # Base cases: pure sector states on the unfrozen simple roots (the
     # frozen copies have q(alpha, alpha) = 0, so they are not residual-free).
-    base_sectors = []
     for v in q.unfrozen:
-        sec = tuple(Fraction(1 if b == v else 0) for b in lat.basis)
-        base_sectors.append(sec)
-    for sec in base_sectors:
+        sec = tuple(int(b == v) for b in lat.basis)
         cid = "base,sector=(" + ",".join(str(x) for x in sec) + ")"
         cases.append(("bracket", cid, "bracket-base", (qtext, tuple(str(x) for x in sec))))
 
@@ -616,7 +606,7 @@ def _build_bracket(args):
     # (sector, oscillator degree), found by exact linear algebra.
     pool = []
     span = (-1, 0, 1)
-    sectors = [tuple(Fraction(c) for c in coords) for coords in product(span, repeat=lat.rank)]
+    sectors = list(product(span, repeat=lat.rank))
     # Higher-rank lattices get a thinner sector/degree grid: the kernel
     # computation runs one residual per basis monomial, and the full cube
     # is quadratically more expensive while adding little pool variety.
@@ -680,7 +670,10 @@ _BUILDERS = {
 
 def _run_check(args) -> int:
     t0 = time.perf_counter()
-    cases = _BUILDERS[args.suite](args)
+    try:
+        cases = _BUILDERS[args.suite](args)
+    except ValueError as exc:
+        raise SystemExit(f"qvc: cannot build suite {args.suite}: {exc}")
     if not cases:
         raise SystemExit(f"qvc: suite {args.suite} has no cases with these parameters")
     jobs = args.jobs or 1

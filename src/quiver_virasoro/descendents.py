@@ -37,29 +37,12 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping
 
+from . import monomials
+from .monomials import Monomial
 from .quivers import INFINITY, Quiver, coords, todd_matrix
-
-# A monomial is a sorted tuple of (vertex, index, power) with index >= 1,
-# power >= 1, strictly increasing in (vertex, index).
-Monomial = tuple[tuple[str, int, int], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    powers: dict[tuple[str, int], int] = {}
-    for v, i, p in a + b:
-        powers[(v, i)] = powers.get((v, i), 0) + p
-    return tuple((v, i, p) for (v, i), p in sorted(powers.items()))
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(i * p for _, i, p in m)
 
 
 class DescPoly:
@@ -123,7 +106,7 @@ class DescPoly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = monomials.mul(m1, m2)
                 out[m] = out.get(m, _ZERO) + c1 * c2
         return DescPoly(out)
 
@@ -147,11 +130,11 @@ class DescPoly:
 
     def degree(self) -> int:
         """Top degree (deg tau_i = i); the zero polynomial has degree -1."""
-        return max((_mono_degree(m) for m in self.terms), default=-1)
+        return max((monomials.degree(m) for m in self.terms), default=-1)
 
     def homogeneous_component(self, deg: int) -> "DescPoly":
         return DescPoly({m: c for m, c in self.terms.items()
-                         if _mono_degree(m) == deg})
+                         if monomials.degree(m) == deg})
 
     def vertices(self) -> set[str]:
         return {v for m in self.terms for v, _, _ in m}
@@ -195,7 +178,7 @@ def poly_to_str(p: DescPoly) -> str:
     """Canonical text form, e.g. ``3/2*t[2,v1]*t[1,v2] + t[1,v1]^2``."""
     if not p.terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda mc: (-_mono_degree(mc[0]), mc[0]))
+    items = sorted(p.terms.items(), key=lambda mc: (-monomials.degree(mc[0]), mc[0]))
     chunks = []
     for m, c in items:
         if not m:
@@ -260,7 +243,7 @@ def parse_poly(s: str) -> DescPoly:
                 if i < 1:
                     raise ValueError(f"bad descendent index in {factor!r}")
                 if pw:
-                    mono = _mono_mul(mono, ((v, i, pw),))
+                    mono = monomials.mul(mono, ((v, i, pw),))
             elif _RATIONAL_RE.match(factor):
                 try:
                     coeff *= Fraction(factor)
@@ -333,18 +316,13 @@ def apply_R(k: int, p: DescPoly, ctx: VirContext) -> DescPoly:
                 w *= i + j
             if w == 0:
                 continue
-            rest = list(m)
-            if pw == 1:
-                del rest[pos]
-            else:
-                rest[pos] = (v, i, pw - 1)
             coeff = c * pw * w
             if i + k == 0:
                 repl: Monomial = ()
                 coeff *= ctx.dim_of(v)
             else:
                 repl = ((v, i + k, 1),)
-            mono = _mono_mul(tuple(rest), repl)
+            mono = monomials.mul(monomials.drop_factor(m, pos), repl)
             out = out + DescPoly({mono: coeff})
     return out
 
@@ -468,19 +446,6 @@ def enumerate_monomials(vertices: Iterable[str], max_degree: int,
     """All descendent monomials (as polynomials) with degree in range.
 
     Ordered by (degree, monomial key); the constant monomial 1 is included
-    when min_degree <= 0.
+    when min_degree <= 0 <= max_degree.
     """
-    gens = [(v, i) for v in vertices for i in range(1, max_degree + 1)]
-    found: list[Monomial] = []
-
-    def rec(start: int, remaining: int, acc: Monomial):
-        if min_degree <= max_degree - remaining:
-            found.append(acc)
-        for gi in range(start, len(gens)):
-            v, i = gens[gi]
-            if i <= remaining:
-                rec(gi, remaining - i, _mono_mul(acc, ((v, i, 1),)))
-
-    rec(0, max_degree, ())
-    ordered = sorted(set(found), key=lambda m: (_mono_degree(m), m))
-    return [DescPoly({m: _ONE}) for m in ordered]
+    return [DescPoly({m: _ONE}) for m in monomials.of_degree(vertices, max_degree, min_degree)]

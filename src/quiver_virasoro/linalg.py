@@ -71,25 +71,6 @@ def det(rows) -> Fraction:
     return sign * result
 
 
-def solve(rows, rhs) -> list[Fraction] | None:
-    """Solve A x = b exactly; None if inconsistent (A need not be square).
-
-    When the system is underdetermined, free variables are set to 0.
-    """
-    mat = _as_fractions(rows)
-    if not mat:
-        return None
-    ncols = len(mat[0])
-    aug = [row + [Fraction(b)] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:  # pivot in the constants column -> inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
 def inverse(rows) -> Matrix:
     mat = _as_fractions(rows)
     n = len(mat)
@@ -117,12 +98,3 @@ def kernel_basis(rows) -> list[list[Fraction]]:
         basis.append(vec)
     return basis
 
-
-def in_row_span(rows, vec) -> bool:
-    """True if vec lies in the row span of rows (all exact)."""
-    if all(x == 0 for x in vec):
-        return True
-    if not rows:
-        return False
-    base_rank = rank(rows)
-    return rank(rows + [list(vec)]) == base_rank

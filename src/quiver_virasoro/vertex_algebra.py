@@ -28,13 +28,12 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Mapping
 
-from . import linalg
+from . import linalg, monomials
 from .descendents import DescPoly, VirContext, apply_L
+from .monomials import Monomial, add_into, drop_factor
 from .quivers import IntMatrix, Quiver, todd_matrix
 
 Sector = tuple[int, ...]
-# oscillator monomial: sorted tuple of (basis name, mode k >= 1, power)
-OscMonomial = tuple[tuple[str, int, int], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -121,43 +120,14 @@ class Lattice:
         return list(self._duals)
 
 
-def _mono_mul(a: OscMonomial, b: OscMonomial) -> OscMonomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    powers: dict[tuple[str, int], int] = {}
-    for v, k, p in a + b:
-        powers[(v, k)] = powers.get((v, k), 0) + p
-    return tuple((v, k, p) for (v, k), p in sorted(powers.items()))
-
-
-def _mono_degree(m: OscMonomial) -> int:
-    return sum(k * p for _, k, p in m)
-
-
-def _drop_factor(m: OscMonomial, pos: int) -> OscMonomial:
-    """m with one power of its factor at position pos removed."""
-    b, k, p = m[pos]
-    if p == 1:
-        return m[:pos] + m[pos + 1:]
-    return m[:pos] + ((b, k, p - 1),) + m[pos + 1:]
-
-
-def _add_into(out: dict, terms: Mapping, scale: Fraction) -> None:
-    """out += scale * terms, in place."""
-    for key, c in terms.items():
-        out[key] = out.get(key, _ZERO) + scale * c
-
-
 class VAState:
     """Immutable exact linear combination of ``e^sector (x) monomial``."""
 
     __slots__ = ("lattice", "terms")
 
     def __init__(self, lattice: Lattice,
-                 terms: Mapping[tuple[Sector, OscMonomial], Fraction] | None = None):
-        clean: dict[tuple[Sector, OscMonomial], Fraction] = {}
+                 terms: Mapping[tuple[Sector, Monomial], Fraction] | None = None):
+        clean: dict[tuple[Sector, Monomial], Fraction] = {}
         if terms:
             for (sec, mono), c in terms.items():
                 c = Fraction(c)
@@ -220,13 +190,13 @@ class VAState:
 
     def osc_degree(self) -> int:
         """Largest oscillator degree sum k_i over the terms (0 for e^a⊗1)."""
-        return max((_mono_degree(m) for _, m in self.terms), default=0)
+        return max((monomials.degree(m) for _, m in self.terms), default=0)
 
     def degree_components(self) -> dict[tuple[Sector, int], "VAState"]:
         """Split into (sector, total degree) homogeneous pieces."""
         out: dict[tuple[Sector, int], dict] = {}
         for (sec, mono), c in self.terms.items():
-            d = _mono_degree(mono) + int(self.lattice.q(sec, sec))
+            d = monomials.degree(mono) + int(self.lattice.q(sec, sec))
             out.setdefault((sec, d), {})[(sec, mono)] = c
         return {k: VAState(self.lattice, t) for k, t in out.items()}
 
@@ -263,18 +233,14 @@ def _sector(lattice: Lattice, alpha) -> Sector:
 def translate(s: VAState) -> VAState:
     """The canonical derivation T: T(e^a) = e^a (x) a_1, T(b_k) = k b_{k+1}."""
     L = s.lattice
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
-
-    def add(key, c):
-        out[key] = out.get(key, _ZERO) + c
-
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     for (sec, mono), c in s.terms.items():
         for b, a in zip(L.basis, sec):
             if a:
-                add((sec, _mono_mul(mono, ((b, 1, 1),))), c * a)
+                add_into(out, (sec, monomials.mul(mono, ((b, 1, 1),))), c * a)
         for pos, (b, k, p) in enumerate(mono):
-            add((sec, _mono_mul(_drop_factor(mono, pos), ((b, k + 1, 1),))),
-                c * p * k)
+            add_into(out, (sec, monomials.mul(drop_factor(mono, pos), ((b, k + 1, 1),))),
+                     c * p * k)
     return VAState(L, out)
 
 
@@ -287,23 +253,18 @@ def heisenberg_mode(x, n: int, s: VAState) -> VAState:
     """
     L = s.lattice
     xv = L.vector(x)
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
-
-    def add(key, c):
-        if c:
-            out[key] = out.get(key, _ZERO) + c
-
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     if n < 0:
         k = -n
         for (sec, mono), c in s.terms.items():
             for b, xc in zip(L.basis, xv):
                 if xc:
-                    add((sec, _mono_mul(mono, ((b, k, 1),))), c * xc)
+                    add_into(out, (sec, monomials.mul(mono, ((b, k, 1),))), c * xc)
         return VAState(L, out)
     pair = L.pair_row(xv)
     if n == 0:
         for (sec, mono), c in s.terms.items():
-            add((sec, mono), c * sum(w * a for w, a in zip(pair, sec)))
+            add_into(out, (sec, mono), c * sum(w * a for w, a in zip(pair, sec)))
     else:
         for (sec, mono), c in s.terms.items():
             for pos, (b, k, p) in enumerate(mono):
@@ -311,7 +272,7 @@ def heisenberg_mode(x, n: int, s: VAState) -> VAState:
                     continue
                 w = pair[L.index(b)]
                 if w:
-                    add((sec, _drop_factor(mono, pos)), c * w * n * p)
+                    add_into(out, (sec, drop_factor(mono, pos)), c * w * n * p)
     return VAState(L, out)
 
 
@@ -319,10 +280,10 @@ def heisenberg_mode(x, n: int, s: VAState) -> VAState:
 # z-power bookkeeping for exponential fields and general vertex operators
 
 def _apply_deriv(L: Lattice, coeffs: list[Fraction], k: int,
-                 zstate: dict[int, dict[OscMonomial, Fraction]]
-                 ) -> dict[int, dict[OscMonomial, Fraction]]:
+                 zstate: dict[int, dict[Monomial, Fraction]]
+                 ) -> dict[int, dict[Monomial, Fraction]]:
     """Apply sum_b coeffs[b] d/db_k to every entry of a z-indexed state."""
-    out: dict[int, dict[OscMonomial, Fraction]] = {}
+    out: dict[int, dict[Monomial, Fraction]] = {}
     for z, polys in zstate.items():
         for mono, c in polys.items():
             for pos, (b, kk, p) in enumerate(mono):
@@ -331,17 +292,15 @@ def _apply_deriv(L: Lattice, coeffs: list[Fraction], k: int,
                 w = coeffs[L.index(b)]
                 if not w:
                     continue
-                tgt = out.setdefault(z, {})
-                key = _drop_factor(mono, pos)
-                tgt[key] = tgt.get(key, _ZERO) + c * w * p
+                add_into(out.setdefault(z, {}), drop_factor(mono, pos), c * w * p)
     return out
 
 
 def _apply_gamma_plus(L: Lattice, alpha_pair: list[Fraction],
-                      zstate: dict[int, dict[OscMonomial, Fraction]]
-                      ) -> dict[int, dict[OscMonomial, Fraction]]:
+                      zstate: dict[int, dict[Monomial, Fraction]]
+                      ) -> dict[int, dict[Monomial, Fraction]]:
     """Apply exp(-sum_{k>0} z^{-k} D_k), D_k = sum_b Q_sym(alpha,b) d/db_k."""
-    depth = max((_mono_degree(m) for polys in zstate.values()
+    depth = max((monomials.degree(m) for polys in zstate.values()
                  for m in polys), default=0)
     state = zstate
     for k in range(1, depth + 1):
@@ -370,11 +329,11 @@ class _Series:
 
     def __init__(self, tmax: int):
         self.tmax = tmax
-        self.coeff: list[dict[OscMonomial, Fraction]] = [
+        self.coeff: list[dict[Monomial, Fraction]] = [
             {} for _ in range(tmax + 1)]
         self.coeff[0][()] = _ONE
 
-    def mul_exp(self, order: int, poly: dict[OscMonomial, Fraction]):
+    def mul_exp(self, order: int, poly: dict[Monomial, Fraction]):
         """Multiply by exp(poly * z^order) in place (order >= 1)."""
         if order > self.tmax or not poly:
             return
@@ -385,10 +344,10 @@ class _Series:
             p += 1
             if order * p > self.tmax:
                 break
-            nxt: dict[OscMonomial, Fraction] = {}
+            nxt: dict[Monomial, Fraction] = {}
             for m1, c1 in term.items():
                 for m2, c2 in poly.items():
-                    m = _mono_mul(m1, m2)
+                    m = monomials.mul(m1, m2)
                     nxt[m] = nxt.get(m, _ZERO) + c1 * c2
             term = {m: c / p for m, c in nxt.items()}
             for t in range(0, self.tmax - order * p + 1):
@@ -398,7 +357,7 @@ class _Series:
                 tgt = self.coeff[t + order * p]
                 for m1, c1 in src.items():
                     for m2, c2 in term.items():
-                        m = _mono_mul(m1, m2)
+                        m = monomials.mul(m1, m2)
                         tgt[m] = tgt.get(m, _ZERO) + c1 * c2
 
 def _creation_series(L: Lattice, alpha: Sector,
@@ -428,7 +387,7 @@ def _creation_series(L: Lattice, alpha: Sector,
                     continue
                 tgt = ser.coeff[t0 + t]
                 for m1, c1 in src.items():
-                    m = _mono_mul(m1, ((v, t + k, 1),))
+                    m = monomials.mul(m1, ((v, t + k, 1),))
                     tgt[m] = tgt.get(m, _ZERO) + c1 * w
     return ser
 
@@ -449,20 +408,20 @@ def vertex_mode(a: VAState, n: int, b: VAState) -> VAState:
     if a.lattice != b.lattice:
         raise ValueError("states live over different lattices")
     L = a.lattice
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     for (alpha, amono), ac in a.terms.items():
         factors: list[tuple[str, int]] = []
         for v, k, p in amono:
             factors.extend([(v, k)] * p)
-        _add_into(out, _vertex_mode_impl(L, alpha, tuple(factors), n, b).terms,
-                  ac)
+        for key, c in _vertex_mode_impl(L, alpha, tuple(factors), n, b).terms.items():
+            add_into(out, key, ac * c)
     return VAState(L, out)
 
 
 def _vertex_mode_impl(L: Lattice, alpha: Sector,
                       factors: tuple[tuple[str, int], ...], n: int,
                       b: VAState) -> VAState:
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     alpha_pair = [L.qsym(alpha, bb) for bb in L.basis]
 
     for (beta, bmono), bc in b.terms.items():
@@ -476,32 +435,25 @@ def _vertex_mode_impl(L: Lattice, alpha: Sector,
                        if i not in ann_set]
                 # annihilation phase: + parts of chosen factors, then
                 # Gamma^+; all act on sector beta
-                zstate: dict[int, dict[OscMonomial, Fraction]] = {
+                zstate: dict[int, dict[Monomial, Fraction]] = {
                     0: {bmono: bc}}
                 for v, k in ann:
                     vsign = -1 if (k - 1) % 2 else 1
                     vpair = [L.qsym(v, bb) for bb in L.basis]
                     beta_pair = L.qsym(v, beta)
-                    nxt: dict[int, dict[OscMonomial, Fraction]] = {}
-
-                    def addz(z, mono, c):
-                        if c:
-                            tgt = nxt.setdefault(z, {})
-                            tgt[mono] = tgt.get(mono, _ZERO) + c
-
+                    nxt: dict[int, dict[Monomial, Fraction]] = {}
                     for z, polys in zstate.items():
                         for mono, c in polys.items():
                             # j = 0: zero mode on the source sector
-                            addz(z - k, mono, c * vsign * beta_pair)
+                            add_into(nxt.setdefault(z - k, {}), mono, c * vsign * beta_pair)
                             # j >= 1: annihilation
                             for pos, (bb, j, p) in enumerate(mono):
                                 w = vpair[L.index(bb)]
                                 if not w:
                                     continue
-                                addz(z - j - k, _drop_factor(mono, pos),
-                                     c * vsign * comb(j + k - 1, k - 1)
-                                     * w * j * p)
-                    zstate = nxt
+                                add_into(nxt.setdefault(z - j - k, {}), drop_factor(mono, pos),
+                                         c * vsign * comb(j + k - 1, k - 1) * w * j * p)
+                    zstate = {z: polys for z, polys in nxt.items() if polys}
                     if not zstate:
                         break
                 if not zstate:
@@ -524,10 +476,7 @@ def _vertex_mode_impl(L: Lattice, alpha: Sector,
                         continue
                     for mono, c in zstate[z0].items():
                         for cm, cc in cremono.items():
-                            key = (target, _mono_mul(mono, cm))
-                            val = sign * c * cc
-                            if val:
-                                out[key] = out.get(key, _ZERO) + val
+                            add_into(out, (target, monomials.mul(mono, cm)), sign * c * cc)
     return VAState(L, out)
 
 
@@ -545,10 +494,10 @@ def max_nonzero_mode(a: VAState, b: VAState) -> int:
     L = a.lattice
     hi = None
     for (alpha, amono), _ in a.terms.items():
-        ka = _mono_degree(amono)
+        ka = monomials.degree(amono)
         for (beta, bmono), _ in b.terms.items():
             shift = int(L.qsym(alpha, beta))
-            n_hi = -1 - shift + ka + _mono_degree(bmono)
+            n_hi = -1 - shift + ka + monomials.degree(bmono)
             hi = n_hi if hi is None else max(hi, n_hi)
     return hi
 
@@ -560,14 +509,16 @@ def conformal_element(L: Lattice) -> VAState:
     """omega = (1/2) sum_b bhat_{(-1)} b_{(-1)} |0>, bhat dual wrt Q_sym.
 
     It equals L_{-2}|0> of the closed-form virasoro_mode; both routes are
-    computed and must agree.  Errors when the symmetrized form is degenerate.
+    computed, and RuntimeError is raised if they disagree.  Errors when the
+    symmetrized form is degenerate.
     """
-    omega: dict[tuple[Sector, OscMonomial], Fraction] = {}
+    omega: dict[tuple[Sector, Monomial], Fraction] = {}
     for b, bhat in zip(L.basis, L.dual_basis()):
-        _add_into(omega, heisenberg_mode(bhat, -1, heisenberg_mode(b, -1, vacuum(L))).terms,
-                  Fraction(1, 2))
+        for key, c in heisenberg_mode(bhat, -1, heisenberg_mode(b, -1, vacuum(L))).terms.items():
+            add_into(omega, key, c / 2)
     omega_state = VAState(L, omega)
-    assert omega_state == virasoro_mode(-2, vacuum(L)), "conformal element routes disagree"
+    if omega_state != virasoro_mode(-2, vacuum(L)):
+        raise RuntimeError("conformal element routes disagree")
     return omega_state
 
 
@@ -590,46 +541,41 @@ def virasoro_mode(k: int, s: VAState, L: Lattice | None = None) -> VAState:
     duals = L._duals
     basis, qsym = L.basis, L._qsym
     half = Fraction(1, 2)
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
-
-    def add(key, c):
-        if c:
-            out[key] = out.get(key, _ZERO) + c
-
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     # the creation pair multiplies every term by the same polynomial
-    create: dict[OscMonomial, Fraction] = {}
+    create: dict[Monomial, Fraction] = {}
     for i in range(1, -k):
         for b, dual in zip(basis, duals):
             for a, g in zip(basis, dual):
-                m = _mono_mul(((a, i, 1),), ((b, -k - i, 1),))
-                create[m] = create.get(m, _ZERO) + half * g
+                m = monomials.mul(((a, i, 1),), ((b, -k - i, 1),))
+                add_into(create, m, half * g)
     for (sec, mono), c in s.terms.items():
         for m, g in create.items():
-            add((sec, _mono_mul(mono, m)), c * g)
+            add_into(out, (sec, monomials.mul(mono, m)), c * g)
         if k <= -1:
             for b, a in zip(basis, sec):
                 if a:
-                    add((sec, _mono_mul(mono, ((b, -k, 1),))), c * a)
+                    add_into(out, (sec, monomials.mul(mono, ((b, -k, 1),))), c * a)
         for pos, (b, j, p) in enumerate(mono):
             if j - k >= 1:
-                add((sec, _mono_mul(_drop_factor(mono, pos), ((b, j - k, 1),))),
-                    c * j * p)
+                add_into(out, (sec, monomials.mul(drop_factor(mono, pos), ((b, j - k, 1),))),
+                         c * j * p)
         if k < 0:
             continue
         row = L.pair_row(sec)
         if k == 0:
-            add((sec, mono), c * half * sum(a * w for a, w in zip(sec, row)))
+            add_into(out, (sec, mono), c * half * sum(a * w for a, w in zip(sec, row)))
             continue
         for pos, (b, i, p) in enumerate(mono):
             if i == k:
-                add((sec, _drop_factor(mono, pos)), c * k * p * row[L.index(b)])
+                add_into(out, (sec, drop_factor(mono, pos)), c * k * p * row[L.index(b)])
             elif i < k:
-                rest = _drop_factor(mono, pos)
+                rest = drop_factor(mono, pos)
                 qrow = qsym[L.index(b)]
                 for pos2, (b2, j, p2) in enumerate(rest):
                     if i + j == k:
-                        add((sec, _drop_factor(rest, pos2)),
-                            c * half * i * j * p * p2 * qrow[L.index(b2)])
+                        add_into(out, (sec, drop_factor(rest, pos2)),
+                                 c * half * i * j * p * p2 * qrow[L.index(b2)])
     return VAState(L, out)
 
 
@@ -663,7 +609,7 @@ def pairing(tau_poly: DescPoly, s: VAState, ctx: VirContext) -> Fraction:
     for tmono, tc in tau_poly.terms.items():
         # the cap of prod tau_k(v)^q is nonzero only against exactly the
         # monomial prod (v,k)^q; value = prod q! / prod ((k-1)!)^q
-        want: OscMonomial = tuple(tmono)
+        want: Monomial = tuple(tmono)
         for (sec2, smono), sc in s.terms.items():
             if smono != want:
                 continue
@@ -720,15 +666,16 @@ def k0_residual(s: VAState) -> VAState:
     """sum_{j >= -1} ((-1)^j/(j+1)!) T^{j+1} L_j(s); truncates at the
     oscillator degree of s.  Vanishing characterizes the K_0 space; the
     same element equals vertex_mode(s, 0, omega) (cross-checked)."""
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     for j in range(-1, s.osc_degree() + 1):
         term = virasoro_mode(j, s)
         if term.is_zero():
             continue
         for _ in range(j + 1):
             term = translate(term)
-        sign = -1 if j % 2 else 1
-        _add_into(out, term.terms, Fraction(sign, factorial(j + 1)))
+        scale = Fraction(-1 if j % 2 else 1, factorial(j + 1))
+        for key, c in term.terms.items():
+            add_into(out, key, scale * c)
     return VAState(s.lattice, out)
 
 
@@ -766,27 +713,14 @@ class CosetState:
         return CosetState(self.rep - other.rep)
 
 
-def osc_monomials(L: Lattice, degree: int) -> list[OscMonomial]:
+def osc_monomials(L: Lattice, degree: int) -> list[Monomial]:
     """Every oscillator monomial of total degree ``degree``, sorted."""
-    gens = [(b, k) for b in L.basis for k in range(1, degree + 1)]
-    found: set[OscMonomial] = set()
-
-    def rec(start: int, remaining: int, acc: OscMonomial):
-        if remaining == 0:
-            found.add(acc)
-            return
-        for gi in range(start, len(gens)):
-            b, k = gens[gi]
-            if k <= remaining:
-                rec(gi, remaining - k, _mono_mul(acc, ((b, k, 1),)))
-
-    rec(0, degree, ())
-    return sorted(found)
+    return monomials.of_degree(L.basis, degree, degree)
 
 
 def _coset_normal_form(s: VAState) -> VAState:
     L = s.lattice
-    out: dict[tuple[Sector, OscMonomial], Fraction] = {}
+    out: dict[tuple[Sector, Monomial], Fraction] = {}
     for (sec, deg_s), comp in s.degree_components().items():
         oscdeg = deg_s - int(L.q(sec, sec))
         cols = osc_monomials(L, oscdeg)

@@ -287,3 +287,18 @@ def test_error_rows_agree_across_jobs(tmp_path):
     assert {r["error"] for r in errors} == {
         "ValueError: symmetrized form is degenerate; no dual basis"}
     assert all(r["status"] == "pass" for r in outs[0] if r not in errors)
+
+
+def test_failing_builder_is_one_error_line(tmp_path):
+    # the bracket pool runs k0_residual while building, which needs the
+    # dual basis of this quiver's degenerate Q_sym
+    qfile = tmp_path / "degenerate.quiver"
+    qfile.write_text("vertex s frozen\nvertex t\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiver_virasoro.cli", "check", "bracket", "--quiver", str(qfile)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("qvc: cannot build suite bracket: "
+                           "symmetrized form is degenerate; no dual basis\n")

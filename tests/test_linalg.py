@@ -5,12 +5,10 @@ import pytest
 
 from quiver_virasoro.linalg import (
     det,
-    in_row_span,
     inverse,
     kernel_basis,
     rank,
     rref,
-    solve,
 )
 
 
@@ -81,24 +79,3 @@ def test_kernel_basis_spans_the_null_space():
             for row in a:
                 assert sum(row[j] * vec[j] for j in range(cols)) == 0
 
-
-def test_solve_finds_solutions_and_detects_inconsistency():
-    a = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    x = solve(a, [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
-    # inconsistent system
-    a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve(a, [Fraction(1), Fraction(3)]) is None
-    # underdetermined systems still return some valid solution
-    a = [[Fraction(1), Fraction(2), Fraction(0)]]
-    x = solve(a, [Fraction(4)])
-    assert x is not None
-    assert x[0] + 2 * x[1] == 4
-
-
-def test_in_row_span():
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert in_row_span(rows, [Fraction(5), Fraction(-2)])
-    rows = [[Fraction(1), Fraction(1)]]
-    assert in_row_span(rows, [Fraction(2), Fraction(2)])
-    assert not in_row_span(rows, [Fraction(1), Fraction(0)])

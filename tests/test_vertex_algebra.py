@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_virasoro import linalg
+from quiver_virasoro import linalg, monomials
 from quiver_virasoro.descendents import parse_poly, tau
 from quiver_virasoro.quivers import framify, preset
 from quiver_virasoro.vertex_algebra import (
@@ -28,7 +28,6 @@ from quiver_virasoro.vertex_algebra import (
     vertex_mode,
     virasoro_mode,
 )
-from quiver_virasoro.vertex_algebra import _mono_mul
 
 
 def _lat(name="A_1"):
@@ -178,6 +177,16 @@ def test_conformal_element_requires_nondegeneracy():
     lat = Lattice.from_quiver(preset("Kronecker-2"))
     with pytest.raises(ValueError):
         conformal_element(lat)
+
+
+def test_conformal_element_raises_when_its_routes_disagree(monkeypatch):
+    from quiver_virasoro import vertex_algebra
+
+    closed_form = vertex_algebra.virasoro_mode
+    monkeypatch.setattr(vertex_algebra, "virasoro_mode",
+                        lambda k, s, L=None: 2 * closed_form(k, s, L))
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        conformal_element(_lat())
 
 
 def test_virasoro_low_modes_are_translation_and_grading():
@@ -443,7 +452,7 @@ def _ref_heisenberg(x, n, s):
     for (sec, mono), c in s.terms.items():
         if n < 0:
             for b, xc in zip(L.basis, xv):
-                out = out + VAState(L, {(sec, _mono_mul(mono, ((b, -n, 1),))): c * xc})
+                out = out + VAState(L, {(sec, monomials.mul(mono, ((b, -n, 1),))): c * xc})
         elif n == 0:
             out = out + VAState(L, {(sec, mono): c * L.qsym(xv, sec)})
         else:
@@ -482,7 +491,7 @@ def _lattice_states(draw):
         mono = ()
         for b, k in draw(st.lists(st.tuples(st.sampled_from(lat.basis), st.integers(1, 3)),
                                   max_size=3)):
-            mono = _mono_mul(mono, ((b, k, 1),))
+            mono = monomials.mul(mono, ((b, k, 1),))
         terms[(sector, mono)] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
     x = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=lat.rank,
                       max_size=lat.rank))
@@ -515,7 +524,7 @@ def _shallow_states(draw):
         mono, left = (), draw(st.integers(0, 4))
         while left:
             k = draw(st.integers(1, left))
-            mono = _mono_mul(mono, ((draw(st.sampled_from(lat.basis)), k, 1),))
+            mono = monomials.mul(mono, ((draw(st.sampled_from(lat.basis)), k, 1),))
             left -= k
         terms[(sector, mono)] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
     return VAState(lat, terms)
