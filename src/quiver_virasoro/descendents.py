@@ -396,7 +396,8 @@ def apply_Lwt0(p: DescPoly, ctx: VirContext) -> DescPoly:
 
 def _tau_of_framing(k: int, ctx: VirContext) -> DescPoly:
     """tau_k(nbar) = sum_v n_v tau_k(v); at k = 0 this is sum_v n_v d_v."""
-    assert ctx.framing is not None
+    if ctx.framing is None:
+        raise ValueError("tau_k(nbar) needs a framed context")
     if k == 0:
         return DescPoly.const(sum(n * d for n, d in zip(ctx.framing, ctx.dim)))
     out = DescPoly.zero()

@@ -97,12 +97,13 @@ class Lattice:
     def qsym_matrix(self) -> list[list[int]]:
         return [list(row) for row in self._qsym]
 
-    def pair_row(self, xv: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """Q_sym(x, b) for each basis element b (Q_sym is symmetric)."""
+    def pair_row(self, xv: tuple) -> tuple:
+        """Q_sym(x, b) for each basis element b (Q_sym is symmetric).  Entries
+        are int when x is integral, even if x was first cached as Fractions."""
         row = self._rows.get(xv)
         if row is None:
-            row = self._rows[xv] = tuple(
-                sum(x * c for x, c in zip(xv, col)) for col in self._qsym)
+            sums = (sum(x * c for x, c in zip(xv, col)) for col in self._qsym)
+            row = self._rows[xv] = tuple(v.numerator if v.denominator == 1 else v for v in sums)
         return row
 
     @cached_property
@@ -121,7 +122,8 @@ class Lattice:
 
 
 class VAState:
-    """Immutable exact linear combination of ``e^sector (x) monomial``."""
+    """Immutable exact linear combination of ``e^sector (x) monomial``; each
+    sector becomes ``lattice.rank`` ints (ValueError if it cannot)."""
 
     __slots__ = ("lattice", "terms")
 
@@ -129,10 +131,14 @@ class VAState:
                  terms: Mapping[tuple[Sector, Monomial], Fraction] | None = None):
         clean: dict[tuple[Sector, Monomial], Fraction] = {}
         if terms:
+            secs: dict = {}
             for (sec, mono), c in terms.items():
                 c = Fraction(c)
                 if c:
-                    clean[(tuple(sec), mono)] = c
+                    key = secs.get(sec)
+                    if key is None:
+                        key = secs[sec] = _sector(lattice, sec)
+                    clean[(key, mono)] = c
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "terms", clean)
 
@@ -196,7 +202,9 @@ class VAState:
         """Split into (sector, total degree) homogeneous pieces."""
         out: dict[tuple[Sector, int], dict] = {}
         for (sec, mono), c in self.terms.items():
-            d = monomials.degree(mono) + int(self.lattice.q(sec, sec))
+            # q(a, a) = Q_sym(a, a) / 2 from the cached integer row
+            d = monomials.degree(mono) + sum(
+                a * w for a, w in zip(sec, self.lattice.pair_row(sec))) // 2
             out.setdefault((sec, d), {})[(sec, mono)] = c
         return {k: VAState(self.lattice, t) for k, t in out.items()}
 
@@ -481,13 +489,14 @@ def _vertex_mode_impl(L: Lattice, alpha: Sector,
 
 
 def max_nonzero_mode(a: VAState, b: VAState) -> int:
-    """An n_max with a_{(n)} b = 0 for every n > n_max.
+    """An int n_max with a_{(n)} b = 0 for every n > n_max.
 
     Bookkeeping bound: the z-power of any contribution is the sector shift
     Q_sym(alpha, beta), minus at most (depth of a's factors) + (depth of b)
     from the annihilation phase, plus a nonnegative creation order, so
-    modes above -1 - shift + depth(a) + depth(b) have no terms.  Used to
-    truncate the infinite sums in the skew-symmetry and iterate identities.
+    modes above -1 - shift + depth(a) + depth(b) have no terms.  The shift
+    is read off the cached integer row Q_sym(beta, .).  Used to truncate
+    the infinite sums in the skew-symmetry and iterate identities.
     """
     if a.is_zero() or b.is_zero():
         return -1
@@ -496,7 +505,7 @@ def max_nonzero_mode(a: VAState, b: VAState) -> int:
     for (alpha, amono), _ in a.terms.items():
         ka = monomials.degree(amono)
         for (beta, bmono), _ in b.terms.items():
-            shift = int(L.qsym(alpha, beta))
+            shift = sum(x * w for x, w in zip(alpha, L.pair_row(beta)))
             n_hi = -1 - shift + ka + monomials.degree(bmono)
             hi = n_hi if hi is None else max(hi, n_hi)
     return hi
@@ -721,8 +730,8 @@ def osc_monomials(L: Lattice, degree: int) -> list[Monomial]:
 def _coset_normal_form(s: VAState) -> VAState:
     L = s.lattice
     out: dict[tuple[Sector, Monomial], Fraction] = {}
-    for (sec, deg_s), comp in s.degree_components().items():
-        oscdeg = deg_s - int(L.q(sec, sec))
+    for (sec, _), comp in s.degree_components().items():
+        oscdeg = comp.osc_degree()  # the same for every term of comp
         cols = osc_monomials(L, oscdeg)
         col_index = {m: i for i, m in enumerate(cols)}
 

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from quiver_virasoro import descendents
 from quiver_virasoro.descendents import (
     DescPoly,
     T_class,
@@ -181,6 +182,11 @@ def test_zeta_kills_infinity_descendents():
 
 # ---------------------------------------------------------------------------
 # framed operators
+
+def test_tau_of_framing_needs_a_framing():
+    with pytest.raises(ValueError, match="framed context"):
+        descendents._tau_of_framing(1, context(preset("A_1"), (1,)))
+
 
 def test_framed_T_class_conventions():
     ctx = context(preset("A_1"), (1,), framing=(2,))

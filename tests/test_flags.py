@@ -2,9 +2,18 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quiver_virasoro import flags
-from quiver_virasoro.descendents import parse_poly, tau
+from quiver_virasoro import flags, monomials
+from quiver_virasoro.descendents import (
+    DescPoly,
+    apply_framed_L,
+    apply_L,
+    apply_Lwt0,
+    parse_poly,
+    tau,
+)
 from quiver_virasoro.flags import (
     FixedPoint,
     FlagShape,
@@ -240,3 +249,45 @@ def test_weight_zero_residual_weight_independent():
     s = FlagShape.parse("1:3")
     p = tau(2, "1")
     assert weight_zero_residual(s, p, w=alt_weights(3)) == 0
+
+
+# ---------------------------------------------------------------------------
+# homogeneity: the flag operators shift degree by a fixed amount
+
+
+@st.composite
+def _flag_monomials(draw):
+    """A flag shape and one monomial of degree <= 5 on its vertices."""
+    shape = FlagShape.parse(draw(st.sampled_from(("1,2:4", "1,2,3:4"))))
+    verts = flag_context(shape).quiver.vertices
+    mono, left = (), draw(st.integers(0, 5))
+    while left:
+        k = draw(st.integers(1, left))
+        mono = monomials.mul(mono, ((draw(st.sampled_from(verts)), k, 1),))
+        left -= k
+    return shape, mono
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_flag_monomials())
+def test_flag_operators_are_homogeneous(shape_and_mono):
+    shape, mono = shape_and_mono
+    p, deg = DescPoly({mono: 1}), monomials.degree(mono)
+    ctx = flag_context(shape)
+
+    def degrees(q):
+        return {monomials.degree(m) for m in q.terms}
+
+    for k in range(-1, 4):
+        assert degrees(apply_L(k, p, ctx)) <= {deg + k}, k
+        assert degrees(apply_framed_L(k, p, ctx)) <= {deg + k}, k
+    assert degrees(apply_Lwt0(p, infinity_context(shape))) <= {deg - 1}
+
+
+def test_flag_operators_hit_their_predicted_degree():
+    # the homogeneity property is not vacuous: each operator has terms
+    shape = FlagShape.parse("1,2:4")
+    p = tau(2, "1") * tau(1, "2")
+    assert monomials.degree(next(iter(apply_L(1, p, flag_context(shape)).terms))) == 4
+    assert monomials.degree(next(iter(apply_framed_L(2, p, flag_context(shape)).terms))) == 5
+    assert monomials.degree(next(iter(apply_Lwt0(p, infinity_context(shape)).terms))) == 2

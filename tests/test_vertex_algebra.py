@@ -116,6 +116,25 @@ def test_state_arithmetic_and_degrees():
         mixed.sector()
 
 
+def test_state_sectors_become_int_tuples():
+    lat = _lat()
+    s = VAState(lat, {((Fraction(1), Fraction(0)), ()): 1})
+    assert s == VAState(lat, {((1, 0), ()): 1})
+    assert all(type(a) is int for a in s.sector())
+    assert str(s) == "(1)*e[1, 0]*1"
+
+
+def test_state_rejects_sectors_off_the_lattice():
+    lat = _lat()  # rank 2
+    for bad in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="length"):
+            VAState(lat, {(bad, ()): 1})
+    with pytest.raises(ValueError, match="integral"):
+        VAState(lat, {((Fraction(1, 2), 0), ()): 1})
+    # a zero coefficient drops its term before the sector is read
+    assert VAState(lat, {((1,), ()): 0}).is_zero()
+
+
 def test_translate_on_pure_sector():
     lat = _lat()
     s = vacuum(lat, (0, 1))
@@ -545,3 +564,69 @@ _OMEGAS = {lat: conformal_element(lat) for lat in _REF_LATTICES.values()}
 def test_closed_form_virasoro_matches_vertex_modes_of_omega(s):
     for k in range(-4, 5):
         assert virasoro_mode(k, s) == vertex_mode(_OMEGAS[s.lattice], k + 1, s), k
+
+
+# ---------------------------------------------------------------------------
+# integer bookkeeping (mode bounds, degrees) against the rational form
+
+
+def _ref_max_nonzero_mode(a, b):
+    """The mode bound with the shift Q_sym(alpha, beta) from Lattice.qsym."""
+    L = a.lattice
+    return max(-1 - L.qsym(alpha, beta) + monomials.degree(am) + monomials.degree(bm)
+               for alpha, am in a.terms for beta, bm in b.terms)
+
+
+def _ref_degree_components(s):
+    """The (sector, degree) split with q(alpha, alpha) from Lattice.q."""
+    out = {}
+    for (sec, mono), c in s.terms.items():
+        d = monomials.degree(mono) + s.lattice.q(sec, sec)
+        out[(sec, d)] = out.get((sec, d), VAState(s.lattice)) + VAState(
+            s.lattice, {(sec, mono): c})
+    return out
+
+
+@st.composite
+def _state_pairs(draw):
+    """Two states on one reference lattice, each with up to 2 terms in up to 2
+    sectors in [-1, 1]^rank, of oscillator depth <= 2."""
+    lat = _REF_LATTICES[draw(st.sampled_from(sorted(_REF_LATTICES)))]
+    states = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            sector = tuple(draw(st.lists(st.integers(-1, 1), min_size=lat.rank,
+                                         max_size=lat.rank)))
+            mono = ()
+            for b, k in draw(st.lists(st.tuples(st.sampled_from(lat.basis), st.integers(1, 2)),
+                                      max_size=2)):
+                mono = monomials.mul(mono, ((b, k, 1),))
+            terms[(sector, mono)] = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+        states.append(VAState(lat, terms))
+    return tuple(states)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_state_pairs())
+def test_integer_bookkeeping_matches_the_rational_form(pair):
+    a, b = pair
+    top = max_nonzero_mode(a, b)
+    assert type(top) is int and top == _ref_max_nonzero_mode(a, b)
+    for s in pair:
+        got = s.degree_components()
+        assert got == _ref_degree_components(s)
+        assert all(type(d) is int for _, d in got)
+    for n in range(top + 1, top + 3):
+        assert vertex_mode(a, n, b).is_zero(), n
+
+
+def test_rows_cached_from_fractions_read_as_ints():
+    lat = _lat("A_2")
+    s = _mono_state(lat, (1, 0, -1, 0), [("1", 1, 1)])
+    unit = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    # heisenberg_mode fills the cache under the Fraction vector first
+    heisenberg_mode(unit, 1, s)
+    assert all(type(w) is int for w in lat.pair_row((1, 0, 0, 0)))
+    top = max_nonzero_mode(vacuum(lat, (0, 0, 0, 1)), vacuum(lat, (1, 0, 0, 0)))
+    assert type(top) is int and top == -1 - lat.qsym((0, 0, 0, 1), (1, 0, 0, 0))
