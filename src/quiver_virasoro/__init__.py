@@ -64,7 +64,6 @@ from .vertex_algebra import (
     conformal_element,
     dual_check,
     dual_pairing_sides,
-    exp_field_mode,
     heisenberg_mode,
     is_physical,
     k0_residual,
@@ -132,7 +131,6 @@ __all__ = [
     "conformal_element",
     "dual_check",
     "dual_pairing_sides",
-    "exp_field_mode",
     "heisenberg_mode",
     "is_physical",
     "k0_residual",

@@ -6,7 +6,10 @@ The ``qvc`` entry point exposes two commands:
   object per case on stdout (fields: ``suite``, ``case``, ``status``,
   ``residual``, ``ms``), with a human-readable summary table on stderr.  A
   case that raises becomes a row with status ``error`` and an ``error``
-  field; the run goes on.  The exit code is 0 iff every case passed.
+  field; the run goes on.  The exit code is 0 iff every case passed.  Bad
+  input ends the run with one ``qvc:`` line and exit 1 before any case runs:
+  ``--jobs`` below 1, a ``--report`` path that cannot be opened, a suite
+  without cases, or a flag suite in which no case is admissible by degree.
 * ``qvc integrate EXPR --flag DIMS:N`` evaluates a descendent expression on a
   flag variety by torus localization and prints the exact rational value.
 
@@ -40,6 +43,7 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 from multiprocessing import Pool
@@ -63,7 +67,7 @@ from .flags import (
     weight_zero_residual,
 )
 from .linalg import kernel_basis
-from .quivers import framify, parse_quiver, preset, preset_names, serialize_quiver
+from .quivers import Quiver, framify, parse_quiver, preset, preset_names
 from .vertex_algebra import (
     Lattice,
     VAState,
@@ -113,8 +117,8 @@ def _vertex_ints(flag: str, text, from_file, q, count: int, what: str):
     return vec
 
 
-def _load_quiver(args) -> tuple[str, tuple[int, ...], tuple[int, ...] | None]:
-    """Resolve --quiver/--preset/--dim/--frame into (serialized quiver, dims, frames)."""
+def _load_quiver(args) -> tuple[Quiver, tuple[int, ...], tuple[int, ...] | None]:
+    """Resolve --quiver/--preset/--dim/--frame into (quiver, dims, frames)."""
     if args.quiver is not None and args.preset is not None:
         raise SystemExit("qvc: --quiver and --preset are mutually exclusive")
     file_dims = file_frames = None
@@ -143,7 +147,7 @@ def _load_quiver(args) -> tuple[str, tuple[int, ...], tuple[int, ...] | None]:
     )
     if frames is not None and q.frozen:
         raise SystemExit("qvc: --frame applies only to quivers without frozen vertices")
-    return serialize_quiver(q), dims or (1,) * len(q.vertices), frames
+    return q, dims or (1,) * len(q.vertices), frames
 
 
 def _require_flag(args) -> FlagShape:
@@ -156,54 +160,18 @@ def _require_flag(args) -> FlagShape:
 
 
 # --------------------------------------------------------------------------
-# worker-side case evaluation
+# case evaluation
 #
-# Cases are small tuples of primitives so they pickle cheaply; each worker
-# process rebuilds (and caches) the heavier context objects on first use.
-
-_CTX_CACHE: dict = {}
-
-
-def _ctx_for(qtext: str, dims: tuple[int, ...], framing: tuple[int, ...] | None) -> VirContext:
-    key = (qtext, dims, framing)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        q, _, _ = parse_quiver(qtext)
-        ctx = context(q, dims, framing=framing)
-        _CTX_CACHE[key] = ctx
-    return ctx
+# A case is (suite, case id, check, payload): check is one of the module-level
+# functions below and payload the tuple of its arguments.  Payloads hold the
+# value objects themselves (contexts, flag shapes, lattice states); under
+# --jobs they are pickled into the workers with the check.  Descendent
+# polynomials travel as their canonical text, which is also the case id.
 
 
-def _lattice_for(qtext: str) -> Lattice:
-    key = ("lattice", qtext)
-    lat = _CTX_CACHE.get(key)
-    if lat is None:
-        q, _, _ = parse_quiver(qtext)
-        lat = Lattice.from_quiver(q)
-        _CTX_CACHE[key] = lat
-    return lat
-
-
-def _state_from_wire(lat: Lattice, wire) -> VAState:
-    terms = {
-        (tuple(int(x) for x in sector), tuple((v, k, p) for v, k, p in mono)): Fraction(coeff)
-        for sector, mono, coeff in wire
-    }
-    return VAState(lat, terms)
-
-
-def _state_to_wire(s: VAState):
-    return tuple(
-        (tuple(str(x) for x in sector), mono, str(coeff))
-        for (sector, mono), coeff in sorted(s.terms.items())
-    )
-
-
-def _eval_commutator(payload) -> Fraction:
-    qtext, dims, framing, convention, n, m, ptext = payload
-    ctx = _ctx_for(qtext, dims, framing)
+def _eval_commutator(ctx: VirContext, convention: str, n: int, m: int, ptext: str) -> Fraction:
     p = parse_poly(ptext)
-    if framing is None:
+    if ctx.framing is None:
         L = lambda k, x: apply_L(k, x, ctx)
         lo = -1
     else:
@@ -214,39 +182,22 @@ def _eval_commutator(payload) -> Fraction:
     return _residual(lhs - rhs)
 
 
-def _eval_framed(payload) -> Fraction:
-    shape_text, k, ptext, convention = payload
-    shape = FlagShape.parse(shape_text)
+def _eval_framed(shape: FlagShape, k: int, ptext: str, convention: str) -> Fraction:
     return abs(framed_virasoro_residual(shape, k, parse_poly(ptext), convention=convention))
 
 
-def _eval_wt0(payload) -> Fraction:
-    shape_text, ptext = payload
-    shape = FlagShape.parse(shape_text)
+def _eval_wt0(shape: FlagShape, ptext: str) -> Fraction:
     return abs(weight_zero_residual(shape, parse_poly(ptext)))
 
 
-def _eval_duality(payload) -> Fraction:
-    qtext, fr_qtext, variant, k, ptext, sector, mono = payload
-    lat = _lattice_for(fr_qtext)
-    tau_p = parse_poly(ptext)
-    state = VAState(lat, {(tuple(int(x) for x in sector), tuple(mono)): Fraction(1)})
-    if variant == "framified":
-        ctx = _ctx_for(fr_qtext, tuple(int(x) for x in sector), None)
-    else:
-        q, _, _ = parse_quiver(qtext)
-        base_dims = tuple(int(x) for x in sector[len(sector) - len(q.vertices):])
-        ctx = _ctx_for(qtext, base_dims, None)
-    lhs, rhs = dual_pairing_sides(k, tau_p, state, lat, ctx=ctx)
+def _eval_duality(k: int, ptext: str, state: VAState, ctx: VirContext) -> Fraction:
+    lhs, rhs = dual_pairing_sides(k, parse_poly(ptext), state, state.lattice, ctx=ctx)
     return abs(lhs - rhs)
 
 
-def _eval_heisenberg(payload) -> Fraction:
-    qtext, xvec, yvec, n, m, wire = payload
-    lat = _lattice_for(qtext)
-    s = _state_from_wire(lat, wire)
-    x = tuple(Fraction(v) for v in xvec)
-    y = tuple(Fraction(v) for v in yvec)
+def _eval_heisenberg(x: tuple[int, ...], y: tuple[int, ...], n: int, m: int,
+                     s: VAState) -> Fraction:
+    lat = s.lattice
     lhs = heisenberg_mode(x, n, heisenberg_mode(y, m, s)) - heisenberg_mode(
         y, m, heisenberg_mode(x, n, s)
     )
@@ -256,14 +207,10 @@ def _eval_heisenberg(payload) -> Fraction:
     return _residual(lhs - expect)
 
 
-def _eval_skew(payload) -> Fraction:
+def _eval_skew(a: VAState, b: VAState, n: int) -> Fraction:
     """a_(n) b  =  sum_i (-1)^{i+n+1} T^i/i! ( b_(n+i) a )."""
-    qtext, awire, bwire, n = payload
-    lat = _lattice_for(qtext)
-    a = _state_from_wire(lat, awire)
-    b = _state_from_wire(lat, bwire)
     lhs = vertex_mode(a, n, b)
-    rhs = VAState(lat, {})
+    rhs = VAState(a.lattice, {})
     top = max_nonzero_mode(b, a)
     i = 0
     sign = -1 if n % 2 == 0 else 1
@@ -287,17 +234,12 @@ def _binom_gen(m: int, i: int) -> Fraction:
     return out
 
 
-def _eval_iterate(payload) -> Fraction:
+def _eval_iterate(a: VAState, a2: VAState, b: VAState, m: int, n: int) -> Fraction:
     """a_(m)(a'_(n) b) - sum over compositions (the iterate/Borcherds identity)."""
-    qtext, awire, a2wire, bwire, m, n = payload
-    lat = _lattice_for(qtext)
-    a = _state_from_wire(lat, awire)
-    a2 = _state_from_wire(lat, a2wire)
-    b = _state_from_wire(lat, bwire)
     lhs = vertex_mode(a, m, vertex_mode(a2, n, b)) - vertex_mode(
         a2, n, vertex_mode(a, m, b)
     )
-    rhs = VAState(lat, {})
+    rhs = VAState(a.lattice, {})
     top = max_nonzero_mode(a, a2)
     for j in range(0, top + 1):
         inner = vertex_mode(a, j, a2)
@@ -307,51 +249,27 @@ def _eval_iterate(payload) -> Fraction:
     return _residual(lhs - rhs)
 
 
-def _eval_virasoro(payload) -> Fraction:
-    qtext, n, m, wire = payload
-    lat = _lattice_for(qtext)
-    s = _state_from_wire(lat, wire)
+def _eval_virasoro(n: int, m: int, s: VAState) -> Fraction:
     lhs = virasoro_mode(n, virasoro_mode(m, s)) - virasoro_mode(m, virasoro_mode(n, s))
     rhs = (Fraction(n - m)) * virasoro_mode(n + m, s)
     if n + m == 0:
-        rhs = rhs + Fraction((n**3 - n) * lat.rank, 12) * s
+        rhs = rhs + Fraction((n**3 - n) * s.lattice.rank, 12) * s
     return _residual(lhs - rhs)
 
 
-def _eval_bracket_base(payload) -> Fraction:
-    qtext, sector = payload
-    lat = _lattice_for(qtext)
-    s = vacuum(lat, tuple(int(x) for x in sector))
+def _eval_bracket_base(s: VAState) -> Fraction:
     return _residual(k0_residual(s))
 
 
-def _eval_bracket_pair(payload) -> Fraction:
-    qtext, awire, bwire = payload
-    lat = _lattice_for(qtext)
-    a = _state_from_wire(lat, awire)
-    b = _state_from_wire(lat, bwire)
+def _eval_bracket_pair(a: VAState, b: VAState) -> Fraction:
     return _residual(k0_residual(vertex_mode(a, 0, b)))
 
 
-_EVALUATORS = {
-    "commutator": _eval_commutator,
-    "framed": _eval_framed,
-    "wt0": _eval_wt0,
-    "duality": _eval_duality,
-    "heisenberg": _eval_heisenberg,
-    "skew": _eval_skew,
-    "iterate": _eval_iterate,
-    "virasoro": _eval_virasoro,
-    "bracket-base": _eval_bracket_base,
-    "bracket-pair": _eval_bracket_pair,
-}
-
-
 def _run_case(case):
-    suite, case_id, kind, payload = case
+    suite, case_id, check, payload = case
     t0 = time.perf_counter()
     try:
-        residual = _EVALUATORS[kind](payload)
+        residual = check(*payload)
     except Exception as exc:  # one raising case must not abort the run
         return {
             "suite": suite,
@@ -376,8 +294,8 @@ def _run_case(case):
 
 
 def _build_commutators(args):
-    qtext, dims, frames = _load_quiver(args)
-    q, _, _ = parse_quiver(qtext)
+    q, dims, frames = _load_quiver(args)
+    ctx = context(q, dims, framing=frames)
     kmax = 3 if args.kmax is None else args.kmax
     degmax = 6 if args.degmax is None else args.degmax
     lo = -1 if frames is None else 0
@@ -388,56 +306,67 @@ def _build_commutators(args):
             for m in range(n + 1, kmax + 1):
                 cid = f"n={n},m={m},p={ptext}"
                 cases.append(
-                    (
-                        "commutators",
-                        cid,
-                        "commutator",
-                        (qtext, dims, frames, args.convention, n, m, ptext),
-                    )
+                    ("commutators", cid, _eval_commutator, (ctx, args.convention, n, m, ptext))
                 )
     return cases
 
 
+def _require_admissible(suite: str, cases, admissible: int, rule: str) -> None:
+    """Every flag operator is homogeneous, so only a case whose operator
+    output has degree dim can integrate to nonzero; a nonempty run without
+    such a case checks nothing."""
+    if cases and not admissible:
+        raise SystemExit(
+            f"qvc: suite {suite} has no admissible case ({rule}) with these parameters"
+        )
+
+
 def _build_framed(args):
     shape = _require_flag(args)
+    dim = dimension(shape)
     kmax = 3 if args.kmax is None else args.kmax
-    degmax = (dimension(shape) + 3) if args.degmax is None else args.degmax
+    degmax = (dim + 3) if args.degmax is None else args.degmax
     vertices = tuple(str(i) for i in range(1, len(shape.dims) + 1))
     cases = []
+    admissible = 0
     for k in range(0, kmax + 1):
         for p in enumerate_monomials(vertices, degmax):
+            admissible += p.degree() + k == dim
             ptext = poly_to_str(p)
             cid = f"k={k},tau={ptext}"
-            cases.append(("framed", cid, "framed", (str(shape), k, ptext, args.convention)))
+            cases.append(("framed", cid, _eval_framed, (shape, k, ptext, args.convention)))
+    _require_admissible("framed", cases, admissible, f"deg tau + k = dim = {dim}")
     return cases
 
 
 def _build_wt0(args):
     shape = _require_flag(args)
-    degmax = (dimension(shape) + 3) if args.degmax is None else args.degmax
+    dim = dimension(shape)
+    degmax = (dim + 3) if args.degmax is None else args.degmax
     vertices = tuple(str(i) for i in range(1, len(shape.dims) + 1))
     cases = []
+    admissible = 0
     for p in enumerate_monomials(vertices, degmax, min_degree=1):
+        admissible += p.degree() == dim + 1
         ptext = poly_to_str(p)
-        cases.append(("wt0", f"tau={ptext}", "wt0", (str(shape), ptext)))
+        cases.append(("wt0", f"tau={ptext}", _eval_wt0, (shape, ptext)))
+    _require_admissible("wt0", cases, admissible, f"deg tau = dim + 1 = {dim + 1}")
     return cases
 
 
 def _build_duality(args):
-    qtext, dims, _ = _load_quiver(args)
-    q, _, _ = parse_quiver(qtext)
+    q, dims, _ = _load_quiver(args)
     if q.frozen:
         raise SystemExit("qvc: the duality suite expects an unframed quiver")
     fr = framify(q)
-    fr_text = serialize_quiver(fr)
     kmax = 3 if args.kmax is None else args.kmax
     degmax = 5 if args.degmax is None else args.degmax
 
     # Full framified sector (frozen copies get multiplicity 1) and the
     # embedded unframed sector (copies at 0).
     copies = len(fr.vertices) - len(q.vertices)
-    sector_full = tuple(str(x) for x in (1,) * copies + dims)
-    sector_emb = tuple(str(x) for x in (0,) * copies + dims)
+    sector_full = (1,) * copies + dims
+    sector_emb = (0,) * copies + dims
 
     taus = {d: [] for d in range(0, degmax + 1)}
     for p in enumerate_monomials(q.vertices, degmax):
@@ -454,9 +383,9 @@ def _build_duality(args):
     }
 
     cases = []
-    for variant, sector, osc in (
-        ("framified", sector_full, osc_full),
-        ("embedded", sector_emb, osc_base),
+    for variant, sector, osc, ctx in (
+        ("framified", sector_full, osc_full, context(fr, sector_full)),
+        ("embedded", sector_emb, osc_base, context(q, dims)),
     ):
         for k in range(-1, kmax + 1):
             for tdeg in range(0, degmax + 1):
@@ -469,14 +398,8 @@ def _build_duality(args):
                             "*".join(f"x[{v},{kk}]^{pw}" for v, kk, pw in mono) or "1"
                         )
                         cid = f"{variant},k={k},tau={ptext},s={mtxt}"
-                        cases.append(
-                            (
-                                "duality",
-                                cid,
-                                "duality",
-                                (qtext, fr_text, variant, k, ptext, sector, mono),
-                            )
-                        )
+                        state = VAState(lat, {(sector, mono): 1})
+                        cases.append(("duality", cid, _eval_duality, (k, ptext, state, ctx)))
     return cases
 
 
@@ -502,11 +425,9 @@ def _random_sector(rng: random.Random, lat: Lattice, lo=-2, hi=2):
 
 
 def _build_va_axioms(args):
-    qtext, _, _ = _load_quiver(args)
-    q, _, _ = parse_quiver(qtext)
+    q, _, _ = _load_quiver(args)
     if not q.frozen:
         q = framify(q)
-        qtext = serialize_quiver(q)
     lat = Lattice.from_quiver(q)
     samples = 200 if args.samples is None else args.samples
     rng = random.Random(20240 + len(q.vertices))
@@ -540,24 +461,16 @@ def _build_va_axioms(args):
     cases = []
     for idx in range(samples):
         a, a2, b, window = draw_triple()
-        awire, a2wire, bwire = _state_to_wire(a), _state_to_wire(a2), _state_to_wire(b)
 
-        x = tuple(Fraction(rng.randint(-2, 2)) for _ in lat.basis)
-        y = tuple(Fraction(rng.randint(-2, 2)) for _ in lat.basis)
+        x = tuple(rng.randint(-2, 2) for _ in lat.basis)
+        y = tuple(rng.randint(-2, 2) for _ in lat.basis)
         n = rng.randint(-3, 3)
         m = -n if rng.random() < 0.5 else rng.randint(-3, 3)
         cases.append(
-            (
-                "va-axioms",
-                f"heisenberg[{idx}],n={n},m={m}",
-                "heisenberg",
-                (qtext, tuple(str(v) for v in x), tuple(str(v) for v in y), n, m, bwire),
-            )
+            ("va-axioms", f"heisenberg[{idx}],n={n},m={m}", _eval_heisenberg, (x, y, n, m, b))
         )
         ns = rng.randint(-2, 2)
-        cases.append(
-            ("va-axioms", f"skew[{idx}],n={ns}", "skew", (qtext, awire, bwire, ns))
-        )
+        cases.append(("va-axioms", f"skew[{idx}],n={ns}", _eval_skew, (a, b, ns)))
         mi, ni = rng.randint(-1, 1), rng.randint(-1, 1)
         if mi + ni < 0 and window > 1:
             # Negative total modes on wide windows are the one expensive
@@ -565,32 +478,20 @@ def _build_va_axioms(args):
             # keep those instances to narrow-window triples.
             mi, ni = rng.randint(0, 1), rng.randint(0, 1)
         cases.append(
-            (
-                "va-axioms",
-                f"iterate[{idx}],m={mi},n={ni}",
-                "iterate",
-                (qtext, awire, a2wire, bwire, mi, ni),
-            )
+            ("va-axioms", f"iterate[{idx}],m={mi},n={ni}", _eval_iterate, (a, a2, b, mi, ni))
         )
         if idx % 4 == 0:
             nv, mv = rng.randint(-3, 3), rng.randint(-3, 3)
             cases.append(
-                (
-                    "va-axioms",
-                    f"virasoro[{idx}],n={nv},m={mv}",
-                    "virasoro",
-                    (qtext, nv, mv, bwire),
-                )
+                ("va-axioms", f"virasoro[{idx}],n={nv},m={mv}", _eval_virasoro, (nv, mv, b))
             )
     return cases
 
 
 def _build_bracket(args):
-    qtext, _, _ = _load_quiver(args)
-    q, _, _ = parse_quiver(qtext)
+    q, _, _ = _load_quiver(args)
     if not q.frozen:
         q = framify(q)
-        qtext = serialize_quiver(q)
     lat = Lattice.from_quiver(q)
     samples = 60 if args.samples is None else args.samples
 
@@ -600,7 +501,7 @@ def _build_bracket(args):
     for v in q.unfrozen:
         sec = tuple(int(b == v) for b in lat.basis)
         cid = "base,sector=(" + ",".join(str(x) for x in sec) + ")"
-        cases.append(("bracket", cid, "bracket-base", (qtext, tuple(str(x) for x in sec))))
+        cases.append(("bracket", cid, _eval_bracket_base, (vacuum(lat, sec),)))
 
     # Pool of residual-free states: kernel of the zero-mode residual per
     # (sector, oscillator degree), found by exact linear algebra.
@@ -637,7 +538,6 @@ def _build_bracket(args):
                     pool.append(VAState(lat, terms))
     if len(pool) < 2:
         raise SystemExit("qvc: bracket suite could not build a state pool")
-    wires = [_state_to_wire(s) for s in pool]
 
     # Window-budgeted pair sampling keeps each bracket evaluation cheap;
     # accepted pairs are exact closure checks.
@@ -650,7 +550,7 @@ def _build_bracket(args):
             j = rng.randrange(len(pool))
             if max_nonzero_mode(pool[i], pool[j]) <= cap:
                 break
-        cases.append(("bracket", f"pair[{idx}]", "bracket-pair", (qtext, wires[i], wires[j])))
+        cases.append(("bracket", f"pair[{idx}]", _eval_bracket_pair, (pool[i], pool[j])))
     return cases
 
 
@@ -670,32 +570,36 @@ _BUILDERS = {
 
 def _run_check(args) -> int:
     t0 = time.perf_counter()
+    if args.jobs < 1:
+        raise SystemExit(f"qvc: --jobs must be at least 1, got {args.jobs}")
     try:
-        cases = _BUILDERS[args.suite](args)
-    except ValueError as exc:
-        raise SystemExit(f"qvc: cannot build suite {args.suite}: {exc}")
-    if not cases:
-        raise SystemExit(f"qvc: suite {args.suite} has no cases with these parameters")
-    jobs = args.jobs or 1
-    if jobs > 1 and len(cases) > 1:
-        with Pool(processes=jobs) as pool:
-            results = pool.map(_run_case, cases, chunksize=max(1, len(cases) // (jobs * 8)))
-    else:
-        results = [_run_case(c) for c in cases]
+        report = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        raise SystemExit(f"qvc: cannot open report file: {exc}")
+    with report or nullcontext():
+        try:
+            cases = _BUILDERS[args.suite](args)
+        except ValueError as exc:
+            raise SystemExit(f"qvc: cannot build suite {args.suite}: {exc}")
+        if not cases:
+            raise SystemExit(f"qvc: suite {args.suite} has no cases with these parameters")
+        jobs = min(args.jobs, len(cases))
+        if jobs > 1:
+            with Pool(processes=jobs) as pool:
+                results = pool.map(_run_case, cases, chunksize=max(1, len(cases) // (jobs * 8)))
+        else:
+            results = [_run_case(c) for c in cases]
 
-    report_lines = []
-    failures = errors = 0
-    for row in results:
-        line = json.dumps(row, sort_keys=True)
-        print(line)
-        report_lines.append(line)
-        if row["status"] == "fail":
-            failures += 1
-        elif row["status"] == "error":
-            errors += 1
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report_lines) + ("\n" if report_lines else ""))
+        failures = errors = 0
+        for row in results:
+            line = json.dumps(row, sort_keys=True)
+            print(line)
+            if report:
+                report.write(line + "\n")
+            if row["status"] == "fail":
+                failures += 1
+            elif row["status"] == "error":
+                errors += 1
 
     elapsed = time.perf_counter() - t0
     total = len(results)
@@ -756,7 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--samples", type=int, help="sample count for randomized suites (default 200/60)"
     )
-    check.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    check.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)"
+    )
     check.add_argument("--report", help="also write the JSON lines to this file")
     check.set_defaults(func=_run_check)
 

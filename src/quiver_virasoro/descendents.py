@@ -62,6 +62,9 @@ class DescPoly:
     def __setattr__(self, *_):
         raise AttributeError("DescPoly is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return DescPoly, (self.terms,)
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls) -> "DescPoly":

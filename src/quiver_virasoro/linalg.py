@@ -43,10 +43,6 @@ def rref(rows) -> tuple[Matrix, list[int]]:
     return mat, pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def det(rows) -> Fraction:
     """Determinant of a square matrix, by fraction-free-ish elimination."""
     mat = _as_fractions(rows)

@@ -145,6 +145,9 @@ class VAState:
     def __setattr__(self, *_):
         raise AttributeError("VAState is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return VAState, (self.lattice, self.terms)
+
     # -- linear structure --------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, VAState):
@@ -398,12 +401,6 @@ def _creation_series(L: Lattice, alpha: Sector,
                     m = monomials.mul(m1, ((v, t + k, 1),))
                     tgt[m] = tgt.get(m, _ZERO) + c1 * w
     return ser
-
-
-def exp_field_mode(alpha, n: int, s: VAState) -> VAState:
-    """Mode n of the exponential field Y(e^alpha, z): coefficient of
-    z^{-n-1}, with cocycle sign (-1)^{q(alpha, beta)} on sector beta."""
-    return _vertex_mode_impl(s.lattice, _sector(s.lattice, alpha), (), n, s)
 
 
 def vertex_mode(a: VAState, n: int, b: VAState) -> VAState:

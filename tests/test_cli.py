@@ -109,6 +109,27 @@ def test_check_is_deterministic_modulo_ms(capsys):
     assert first == third
 
 
+# one small grid per suite; each builds the payload types its checks read
+JOBS_GRIDS = {
+    "framed": ["--flag", "1,2:3"],
+    "wt0": ["--flag", "1,2:3"],
+    "duality": ["--preset", "A_1"],
+    "va-axioms": ["--preset", "A_1", "--samples", "8"],
+    "bracket": ["--preset", "A_1", "--samples", "10"],
+    "commutators": ["--preset", "A_2", "--frame", "1,1", "--kmax", "2", "--degmax", "3"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(JOBS_GRIDS))
+def test_rows_do_not_depend_on_jobs(capsys, suite):
+    argv = ["check", suite, *JOBS_GRIDS[suite]]
+    rows = []
+    for jobs in ("1", "2"):
+        assert cli.main(argv + ["--jobs", jobs]) == 0
+        rows.append(_sans_ms(_rows(capsys.readouterr().out)))
+    assert rows[0] == rows[1] and len(rows[0]) > 1
+
+
 def test_report_file_matches_stdout(capsys, tmp_path):
     report = tmp_path / "rows.jsonl"
     argv = ["check", "duality", "--preset", "A_1", "--kmax", "1",
@@ -206,6 +227,59 @@ def test_suite_with_no_cases_exits_one_without_traceback():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["check", "framed", "--flag", "1,2,3,4:5", "--kmax", "0", "--degmax", "9"],
+     ["check", "wt0", "--flag", "2:4", "--degmax", "4"]],
+)
+def test_flag_suite_without_an_admissible_case_fails(capsys, argv):
+    # every flag operator is homogeneous: no case here can integrate to nonzero
+    assert "no admissible case" in _error_line(argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_rejected(capsys, jobs):
+    message = _error_line(["check", "framed", "--flag", "1:2", "--jobs", jobs])
+    assert "--jobs" in message
+    assert capsys.readouterr().out == ""
+
+
+def test_worker_count_is_capped_by_the_case_count(capsys, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    argv = ["check", "bracket", "--preset", "A_1", "--samples", "2"]
+    assert cli.main(argv + ["--jobs", "1000000"]) == 0
+    assert started == [3] and len(_rows(capsys.readouterr().out)) == 3
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    assert started == [3]
+
+
+def test_unopenable_report_path_fails_before_any_case(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiver_virasoro.cli", "check", "framed", "--flag", "1:2",
+         "--report", str(tmp_path / "missing" / "x.jsonl")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("qvc: cannot open report file") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [(["check", "commutators", "--preset", "A_2", "--dim=-1,1"], "--dim"),
      (["check", "commutators", "--preset", "A_2", "--frame=0,-2"], "--frame")],
@@ -248,14 +322,14 @@ def test_raising_case_becomes_an_error_row(capsys, monkeypatch):
     argv = ["check", "commutators", "--preset", "A_1", "--kmax", "1", "--degmax", "1"]
     assert cli.main(argv) == 0
     clean = _rows(capsys.readouterr().out)
-    evaluate = cli._EVALUATORS["commutator"]
+    evaluate = cli._eval_commutator
 
-    def flaky(payload):
-        if payload[4:] == (0, 1, "t[1,1]"):
+    def flaky(ctx, convention, n, m, ptext):
+        if (n, m, ptext) == (0, 1, "t[1,1]"):
             raise RuntimeError("boom")
-        return evaluate(payload)
+        return evaluate(ctx, convention, n, m, ptext)
 
-    monkeypatch.setitem(cli._EVALUATORS, "commutator", flaky)
+    monkeypatch.setattr(cli, "_eval_commutator", flaky)
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     rows = _rows(captured.out)

@@ -7,7 +7,6 @@ from quiver_virasoro.linalg import (
     det,
     inverse,
     kernel_basis,
-    rank,
     rref,
 )
 
@@ -74,7 +73,7 @@ def test_kernel_basis_spans_the_null_space():
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = _rand_matrix(rng, rows, cols)
         basis = kernel_basis(a)
-        assert len(basis) == cols - rank(a)
+        assert len(basis) == cols - len(rref(a)[1])
         for vec in basis:
             for row in a:
                 assert sum(row[j] * vec[j] for j in range(cols)) == 0

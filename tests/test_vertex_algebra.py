@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -133,6 +135,30 @@ def test_state_rejects_sectors_off_the_lattice():
         VAState(lat, {((Fraction(1, 2), 0), ()): 1})
     # a zero coefficient drops its term before the sector is read
     assert VAState(lat, {((1,), ()): 0}).is_zero()
+
+
+def _two_term_state():
+    lat = _lat("A_2")
+    mono = [("1", 1, 2), ("2", 3, 1)]
+    return _mono_state(lat, (1, -1, 0, 1), mono, Fraction(-2, 3)) + vacuum(lat, (0, 0, 1, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_poly("3/2*t[2,1]*t[1,2] - t[1,1]^2 + 5"),
+    _two_term_state,
+], ids=["DescPoly", "VAState"])
+def test_values_survive_pickle_and_deepcopy_and_stay_immutable(make):
+    value = make()
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value) and copied == value
+        assert copied.terms is not value.terms
+        with pytest.raises(AttributeError, match="immutable"):
+            copied.terms = {}
+    if isinstance(value, VAState):
+        # the lattice comes back with its caches and still computes
+        copied = pickle.loads(pickle.dumps(value))
+        assert copied.lattice == value.lattice
+        assert virasoro_mode(1, copied) == virasoro_mode(1, value)
 
 
 def test_translate_on_pure_sector():
