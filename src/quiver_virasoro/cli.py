@@ -2,34 +2,18 @@
 
 The ``qvc`` entry point exposes two commands:
 
-* ``qvc check SUITE`` runs one of the verification suites and emits one JSON
-  object per case on stdout (fields: ``suite``, ``case``, ``status``,
-  ``residual``, ``ms``), with a human-readable summary table on stderr.  A
-  case that raises becomes a row with status ``error`` and an ``error``
-  field; the run goes on.  The exit code is 0 iff every case passed.  Bad
-  input ends the run with one ``qvc:`` line and exit 1 before any case runs:
-  ``--jobs`` below 1, a ``--report`` path that cannot be opened, a suite
-  without cases, or a flag suite in which no case is admissible by degree.
+* ``qvc check SUITE [options]`` runs one of the verification suites and
+  emits one JSON object per case on stdout (fields: ``suite``, ``case``,
+  ``status``, ``residual``, ``ms``), with a summary on stderr.  A case that
+  raises becomes a row with status ``error`` and an ``error`` field; the run
+  goes on.  The exit code is 0 iff every case passed.  Each suite has its
+  own parser and accepts only the options it reads; ``qvc check SUITE -h``
+  lists them with their defaults.  Bad input ends the run with one ``qvc:``
+  line and exit 1 before any case runs: a parse error (an unknown option
+  included), a ``--report`` path that cannot be opened, a suite without
+  cases, or a flag suite in which no case is admissible by degree.
 * ``qvc integrate EXPR --flag DIMS:N`` evaluates a descendent expression on a
   flag variety by torus localization and prints the exact rational value.
-
-Suites:
-
-* ``commutators`` -- ``[L_n, L_m] = (m - n) L_{n+m}`` for the descendent
-  operators on a quiver context, ``n, m`` in ``[-1, kmax]``.  With ``--frame``
-  the framed operators are checked on ``[0, kmax]`` instead (the framed
-  bracket with ``L_{-1}`` picks up an inhomogeneous ``tau(framing)`` term, so
-  ``n = -1`` is excluded by design).
-* ``framed`` -- vanishing of the framed constraint integrals on a flag
-  variety for ``k`` in ``[0, kmax]`` and all monomials up to ``--degmax``.
-* ``wt0`` -- vanishing of the weight-zero constraint route on the same grid.
-* ``duality`` -- adjointness of the descendent operators and the lattice
-  Virasoro operators under the residue pairing, both on the framified
-  lattice (with the ``k = 0`` shift) and on the embedded unframed context.
-* ``va-axioms`` -- Heisenberg commutation, skew-symmetry and the iterate
-  identity for vertex operators on sampled states of the framified lattice.
-* ``bracket`` -- the zero-mode residual: base cases, closure of the induced
-  bracket on sampled residual-free states.
 
 Reports are deterministic: case lists are generated in a fixed order from a
 fixed seed, and ``--jobs`` only changes how cases are distributed across
@@ -52,8 +36,7 @@ from . import monomials
 from .descendents import (
     DescPoly,
     VirContext,
-    apply_L,
-    apply_framed_L,
+    commutator_defect,
     context,
     enumerate_monomials,
     parse_poly,
@@ -71,24 +54,28 @@ from .quivers import Quiver, framify, parse_quiver, preset, preset_names
 from .vertex_algebra import (
     Lattice,
     VAState,
+    bracket_residual,
     dual_pairing_sides,
-    heisenberg_mode,
+    heisenberg_defect,
+    iterate_defect,
     k0_residual,
     max_nonzero_mode,
     osc_monomials,
-    translate,
+    skew_defect,
     vacuum,
-    vertex_mode,
-    virasoro_mode,
+    virasoro_defect,
 )
 
 # --------------------------------------------------------------------------
 # shared helpers
 
 
-def _residual(x: DescPoly | VAState) -> Fraction:
-    """Sum of the absolute coefficients: 0 exactly when x is zero."""
-    return sum((abs(c) for c in x.terms.values()), Fraction(0))
+def _residual(x) -> Fraction:
+    """|x| of a number, the sum of the absolute coefficients of a DescPoly
+    or VAState: 0 exactly when x is zero."""
+    if isinstance(x, (DescPoly, VAState)):
+        return sum((abs(c) for c in x.terms.values()), Fraction(0))
+    return abs(x)
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -140,7 +127,9 @@ def _load_quiver(args) -> tuple[Quiver, tuple[int, ...], tuple[int, ...] | None]
     else:
         raise SystemExit("qvc: one of --quiver or --preset is required")
 
-    dims = _vertex_ints("--dim", args.dim, file_dims, q, len(q.vertices), "vertices")
+    dims = _vertex_ints(
+        "--dim", getattr(args, "dim", None), file_dims, q, len(q.vertices), "vertices"
+    )
     frames = _vertex_ints(
         "--frame", getattr(args, "frame", None), file_frames, q, len(q.unfrozen),
         "unfrozen vertices",
@@ -150,143 +139,40 @@ def _load_quiver(args) -> tuple[Quiver, tuple[int, ...], tuple[int, ...] | None]
     return q, dims or (1,) * len(q.vertices), frames
 
 
-def _require_flag(args) -> FlagShape:
-    if args.flag is None:
-        raise SystemExit("qvc: this suite requires --flag DIMS:N (e.g. --flag 1,2:3)")
-    try:
-        return FlagShape.parse(args.flag)
-    except ValueError as exc:
-        raise SystemExit(f"qvc: invalid --flag: {exc}")
-
-
 # --------------------------------------------------------------------------
 # case evaluation
 #
-# A case is (suite, case id, check, payload): check is one of the module-level
-# functions below and payload the tuple of its arguments.  Payloads hold the
-# value objects themselves (contexts, flag shapes, lattice states); under
-# --jobs they are pickled into the workers with the check.  Descendent
-# polynomials travel as their canonical text, which is also the case id.
-
-
-def _eval_commutator(ctx: VirContext, convention: str, n: int, m: int, ptext: str) -> Fraction:
-    p = parse_poly(ptext)
-    if ctx.framing is None:
-        L = lambda k, x: apply_L(k, x, ctx)
-        lo = -1
-    else:
-        L = lambda k, x: apply_framed_L(k, x, ctx, convention=convention)
-        lo = 0
-    lhs = L(n, L(m, p)) - L(m, L(n, p))
-    rhs = (m - n) * L(n + m, p) if n + m >= lo else DescPoly.zero()
-    return _residual(lhs - rhs)
+# A case is (suite, case id, check, payload): check is a module-level
+# function, payload the tuple of its arguments, and the residual of a case
+# is _residual of what check returns.  Payloads hold the value objects
+# themselves; under --jobs they are pickled into the workers with the check.
+# Flag and duality polynomials travel as their canonical text (the case id).
+# The flag and duality adapters below parse that text for their functions.
 
 
 def _eval_framed(shape: FlagShape, k: int, ptext: str, convention: str) -> Fraction:
-    return abs(framed_virasoro_residual(shape, k, parse_poly(ptext), convention=convention))
+    return framed_virasoro_residual(shape, k, parse_poly(ptext), convention=convention)
 
 
 def _eval_wt0(shape: FlagShape, ptext: str) -> Fraction:
-    return abs(weight_zero_residual(shape, parse_poly(ptext)))
+    return weight_zero_residual(shape, parse_poly(ptext))
 
 
 def _eval_duality(k: int, ptext: str, state: VAState, ctx: VirContext) -> Fraction:
     lhs, rhs = dual_pairing_sides(k, parse_poly(ptext), state, state.lattice, ctx=ctx)
-    return abs(lhs - rhs)
-
-
-def _eval_heisenberg(x: tuple[int, ...], y: tuple[int, ...], n: int, m: int,
-                     s: VAState) -> Fraction:
-    lat = s.lattice
-    lhs = heisenberg_mode(x, n, heisenberg_mode(y, m, s)) - heisenberg_mode(
-        y, m, heisenberg_mode(x, n, s)
-    )
-    expect = (
-        (Fraction(n) * lat.qsym(x, y)) * s if n + m == 0 and n != 0 else VAState(lat, {})
-    )
-    return _residual(lhs - expect)
-
-
-def _eval_skew(a: VAState, b: VAState, n: int) -> Fraction:
-    """a_(n) b  =  sum_i (-1)^{i+n+1} T^i/i! ( b_(n+i) a )."""
-    lhs = vertex_mode(a, n, b)
-    rhs = VAState(a.lattice, {})
-    top = max_nonzero_mode(b, a)
-    i = 0
-    sign = -1 if n % 2 == 0 else 1
-    fact = Fraction(1)
-    while n + i <= top:
-        term = vertex_mode(b, n + i, a)
-        if not term.is_zero():
-            for _ in range(i):
-                term = translate(term)
-            rhs = rhs + (Fraction(sign, 1) / fact) * term
-        i += 1
-        sign = -sign
-        fact *= i
-    return _residual(lhs - rhs)
-
-
-def _binom_gen(m: int, i: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(i):
-        out *= Fraction(m - j, j + 1)
-    return out
-
-
-def _eval_iterate(a: VAState, a2: VAState, b: VAState, m: int, n: int) -> Fraction:
-    """a_(m)(a'_(n) b) - sum over compositions (the iterate/Borcherds identity)."""
-    lhs = vertex_mode(a, m, vertex_mode(a2, n, b)) - vertex_mode(
-        a2, n, vertex_mode(a, m, b)
-    )
-    rhs = VAState(a.lattice, {})
-    top = max_nonzero_mode(a, a2)
-    for j in range(0, top + 1):
-        inner = vertex_mode(a, j, a2)
-        if inner.is_zero():
-            continue
-        rhs = rhs + _binom_gen(m, j) * vertex_mode(inner, m + n - j, b)
-    return _residual(lhs - rhs)
-
-
-def _eval_virasoro(n: int, m: int, s: VAState) -> Fraction:
-    lhs = virasoro_mode(n, virasoro_mode(m, s)) - virasoro_mode(m, virasoro_mode(n, s))
-    rhs = (Fraction(n - m)) * virasoro_mode(n + m, s)
-    if n + m == 0:
-        rhs = rhs + Fraction((n**3 - n) * s.lattice.rank, 12) * s
-    return _residual(lhs - rhs)
-
-
-def _eval_bracket_base(s: VAState) -> Fraction:
-    return _residual(k0_residual(s))
-
-
-def _eval_bracket_pair(a: VAState, b: VAState) -> Fraction:
-    return _residual(k0_residual(vertex_mode(a, 0, b)))
+    return lhs - rhs
 
 
 def _run_case(case):
     suite, case_id, check, payload = case
     t0 = time.perf_counter()
     try:
-        residual = check(*payload)
+        residual = _residual(check(*payload))
+        row = {"status": "pass" if residual == 0 else "fail", "residual": str(residual)}
     except Exception as exc:  # one raising case must not abort the run
-        return {
-            "suite": suite,
-            "case": case_id,
-            "status": "error",
-            "residual": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        }
+        row = {"status": "error", "residual": None, "error": f"{type(exc).__name__}: {exc}"}
     ms = (time.perf_counter() - t0) * 1000.0
-    return {
-        "suite": suite,
-        "case": case_id,
-        "status": "pass" if residual == 0 else "fail",
-        "residual": str(residual),
-        "ms": round(ms, 3),
-    }
+    return {"suite": suite, "case": case_id, **row, "ms": round(ms, 3)}
 
 
 # --------------------------------------------------------------------------
@@ -295,18 +181,18 @@ def _run_case(case):
 
 def _build_commutators(args):
     q, dims, frames = _load_quiver(args)
+    if frames is None and args.convention != "no-delta":
+        raise SystemExit("qvc: --convention applies only to framed commutators (--frame)")
     ctx = context(q, dims, framing=frames)
-    kmax = 3 if args.kmax is None else args.kmax
-    degmax = 6 if args.degmax is None else args.degmax
     lo = -1 if frames is None else 0
     cases = []
-    for p in enumerate_monomials(q.vertices, degmax):
+    for p in enumerate_monomials(q.vertices, args.degmax):
         ptext = poly_to_str(p)
-        for n in range(lo, kmax + 1):
-            for m in range(n + 1, kmax + 1):
+        for n in range(lo, args.kmax + 1):
+            for m in range(n + 1, args.kmax + 1):
                 cid = f"n={n},m={m},p={ptext}"
                 cases.append(
-                    ("commutators", cid, _eval_commutator, (ctx, args.convention, n, m, ptext))
+                    ("commutators", cid, commutator_defect, (n, m, p, ctx, args.convention))
                 )
     return cases
 
@@ -322,14 +208,13 @@ def _require_admissible(suite: str, cases, admissible: int, rule: str) -> None:
 
 
 def _build_framed(args):
-    shape = _require_flag(args)
+    shape = args.flag
     dim = dimension(shape)
-    kmax = 3 if args.kmax is None else args.kmax
     degmax = (dim + 3) if args.degmax is None else args.degmax
     vertices = tuple(str(i) for i in range(1, len(shape.dims) + 1))
     cases = []
     admissible = 0
-    for k in range(0, kmax + 1):
+    for k in range(0, args.kmax + 1):
         for p in enumerate_monomials(vertices, degmax):
             admissible += p.degree() + k == dim
             ptext = poly_to_str(p)
@@ -340,7 +225,7 @@ def _build_framed(args):
 
 
 def _build_wt0(args):
-    shape = _require_flag(args)
+    shape = args.flag
     dim = dimension(shape)
     degmax = (dim + 3) if args.degmax is None else args.degmax
     vertices = tuple(str(i) for i in range(1, len(shape.dims) + 1))
@@ -359,8 +244,6 @@ def _build_duality(args):
     if q.frozen:
         raise SystemExit("qvc: the duality suite expects an unframed quiver")
     fr = framify(q)
-    kmax = 3 if args.kmax is None else args.kmax
-    degmax = 5 if args.degmax is None else args.degmax
 
     # Full framified sector (frozen copies get multiplicity 1) and the
     # embedded unframed sector (copies at 0).
@@ -368,14 +251,14 @@ def _build_duality(args):
     sector_full = (1,) * copies + dims
     sector_emb = (0,) * copies + dims
 
-    taus = {d: [] for d in range(0, degmax + 1)}
-    for p in enumerate_monomials(q.vertices, degmax):
+    taus = {d: [] for d in range(0, args.degmax + 1)}
+    for p in enumerate_monomials(q.vertices, args.degmax):
         taus[p.degree() if not p.is_zero() else 0].append(poly_to_str(p))
     lat = Lattice.from_quiver(fr)
     # The framified check runs over the full oscillator algebra; the embedded
     # check pairs against the unframed descendent algebra, so its states use
     # base-vertex oscillators only.
-    osc_full = {d: list(osc_monomials(lat, d)) for d in range(0, degmax + 1)}
+    osc_full = {d: list(osc_monomials(lat, d)) for d in range(0, args.degmax + 1)}
     base = set(q.vertices)
     osc_base = {
         d: [m for m in monos if all(v in base for v, _, _ in m)]
@@ -387,10 +270,10 @@ def _build_duality(args):
         ("framified", sector_full, osc_full, context(fr, sector_full)),
         ("embedded", sector_emb, osc_base, context(q, dims)),
     ):
-        for k in range(-1, kmax + 1):
-            for tdeg in range(0, degmax + 1):
+        for k in range(-1, args.kmax + 1):
+            for tdeg in range(0, args.degmax + 1):
                 sdeg = tdeg + k
-                if sdeg < 0 or sdeg > degmax:
+                if sdeg < 0 or sdeg > args.degmax:
                     continue
                 for ptext in taus[tdeg]:
                     for mono in osc[sdeg]:
@@ -429,7 +312,6 @@ def _build_va_axioms(args):
     if not q.frozen:
         q = framify(q)
     lat = Lattice.from_quiver(q)
-    samples = 200 if args.samples is None else args.samples
     rng = random.Random(20240 + len(q.vertices))
 
     # Mode-window and depth budgets keep each case in the millisecond range
@@ -459,7 +341,7 @@ def _build_va_axioms(args):
         return a, a2, b, window
 
     cases = []
-    for idx in range(samples):
+    for idx in range(args.samples):
         a, a2, b, window = draw_triple()
 
         x = tuple(rng.randint(-2, 2) for _ in lat.basis)
@@ -467,10 +349,10 @@ def _build_va_axioms(args):
         n = rng.randint(-3, 3)
         m = -n if rng.random() < 0.5 else rng.randint(-3, 3)
         cases.append(
-            ("va-axioms", f"heisenberg[{idx}],n={n},m={m}", _eval_heisenberg, (x, y, n, m, b))
+            ("va-axioms", f"heisenberg[{idx}],n={n},m={m}", heisenberg_defect, (x, y, n, m, b))
         )
         ns = rng.randint(-2, 2)
-        cases.append(("va-axioms", f"skew[{idx}],n={ns}", _eval_skew, (a, b, ns)))
+        cases.append(("va-axioms", f"skew[{idx}],n={ns}", skew_defect, (a, b, ns)))
         mi, ni = rng.randint(-1, 1), rng.randint(-1, 1)
         if mi + ni < 0 and window > 1:
             # Negative total modes on wide windows are the one expensive
@@ -478,12 +360,12 @@ def _build_va_axioms(args):
             # keep those instances to narrow-window triples.
             mi, ni = rng.randint(0, 1), rng.randint(0, 1)
         cases.append(
-            ("va-axioms", f"iterate[{idx}],m={mi},n={ni}", _eval_iterate, (a, a2, b, mi, ni))
+            ("va-axioms", f"iterate[{idx}],m={mi},n={ni}", iterate_defect, (a, a2, b, mi, ni))
         )
         if idx % 4 == 0:
             nv, mv = rng.randint(-3, 3), rng.randint(-3, 3)
             cases.append(
-                ("va-axioms", f"virasoro[{idx}],n={nv},m={mv}", _eval_virasoro, (nv, mv, b))
+                ("va-axioms", f"virasoro[{idx}],n={nv},m={mv}", virasoro_defect, (nv, mv, b))
             )
     return cases
 
@@ -493,7 +375,6 @@ def _build_bracket(args):
     if not q.frozen:
         q = framify(q)
     lat = Lattice.from_quiver(q)
-    samples = 60 if args.samples is None else args.samples
 
     cases = []
     # Base cases: pure sector states on the unfrozen simple roots (the
@@ -501,7 +382,7 @@ def _build_bracket(args):
     for v in q.unfrozen:
         sec = tuple(int(b == v) for b in lat.basis)
         cid = "base,sector=(" + ",".join(str(x) for x in sec) + ")"
-        cases.append(("bracket", cid, _eval_bracket_base, (vacuum(lat, sec),)))
+        cases.append(("bracket", cid, k0_residual, (vacuum(lat, sec),)))
 
     # Pool of residual-free states: kernel of the zero-mode residual per
     # (sector, oscillator degree), found by exact linear algebra.
@@ -543,25 +424,15 @@ def _build_bracket(args):
     # accepted pairs are exact closure checks.
     cap = 3 if lat.rank <= 2 else 2
     rng = random.Random(424242)
-    for idx in range(samples):
+    for idx in range(args.samples):
         i = j = 0
         for _ in range(64):
             i = rng.randrange(len(pool))
             j = rng.randrange(len(pool))
             if max_nonzero_mode(pool[i], pool[j]) <= cap:
                 break
-        cases.append(("bracket", f"pair[{idx}]", _eval_bracket_pair, (pool[i], pool[j])))
+        cases.append(("bracket", f"pair[{idx}]", bracket_residual, (pool[i], pool[j])))
     return cases
-
-
-_BUILDERS = {
-    "commutators": _build_commutators,
-    "framed": _build_framed,
-    "wt0": _build_wt0,
-    "duality": _build_duality,
-    "va-axioms": _build_va_axioms,
-    "bracket": _build_bracket,
-}
 
 
 # --------------------------------------------------------------------------
@@ -570,15 +441,13 @@ _BUILDERS = {
 
 def _run_check(args) -> int:
     t0 = time.perf_counter()
-    if args.jobs < 1:
-        raise SystemExit(f"qvc: --jobs must be at least 1, got {args.jobs}")
     try:
         report = open(args.report, "w", encoding="utf-8") if args.report else None
     except OSError as exc:
         raise SystemExit(f"qvc: cannot open report file: {exc}")
     with report or nullcontext():
         try:
-            cases = _BUILDERS[args.suite](args)
+            cases = args.build(args)
         except ValueError as exc:
             raise SystemExit(f"qvc: cannot build suite {args.suite}: {exc}")
         if not cases:
@@ -590,85 +459,122 @@ def _run_check(args) -> int:
         else:
             results = [_run_case(c) for c in cases]
 
-        failures = errors = 0
         for row in results:
             line = json.dumps(row, sort_keys=True)
             print(line)
             if report:
                 report.write(line + "\n")
-            if row["status"] == "fail":
-                failures += 1
-            elif row["status"] == "error":
-                errors += 1
 
     elapsed = time.perf_counter() - t0
-    total = len(results)
+    failures = sum(r["status"] == "fail" for r in results)
+    errors = sum(r["status"] == "error" for r in results)
     print(
-        f"suite {args.suite}: {total} cases, {failures} failed, {errors} errors, {elapsed:.2f}s",
+        f"suite {args.suite}: {len(results)} cases, {failures} failed, {errors} errors, "
+        f"{elapsed:.2f}s",
         file=sys.stderr,
     )
-    if failures or errors:
-        worst = [r for r in results if r["status"] != "pass"][:5]
-        for r in worst:
-            detail = r.get("error") or f"residual={r['residual']}"
-            print(f"  {r['status'].upper()} {r['case']} {detail}", file=sys.stderr)
+    for r in [r for r in results if r["status"] != "pass"][:5]:
+        detail = r.get("error") or f"residual={r['residual']}"
+        print(f"  {r['status'].upper()} {r['case']} {detail}", file=sys.stderr)
     return 0 if failures == errors == 0 else 1
 
 
 def _run_integrate(args) -> int:
-    shape = _require_flag(args)
     try:
         p = parse_poly(args.expr)
     except ValueError as exc:
         raise SystemExit(f"qvc: cannot parse expression: {exc}")
     try:
-        value = realize_and_integrate(p, shape)
+        value = realize_and_integrate(p, args.flag)
     except ValueError as exc:
         raise SystemExit(f"qvc: {exc}")
     print(value)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is one ``qvc:`` line and exit 1, like all bad input."""
+
+    def error(self, message):
+        raise SystemExit(f"qvc: {message}")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _flag_shape(text: str) -> FlagShape:
+    try:
+        return FlagShape.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+# option -> its argparse spec; each suite below names the options it reads,
+# with its own defaults
+_OPTIONS = {
+    "dim": dict(help="dimension vector, comma-separated (default: the file's, else all 1)"),
+    "frame": dict(help="framing vector, comma-separated (default: the file's, else none)"),
+    "flag": dict(type=_flag_shape, required=True, help="flag shape DIMS:N, e.g. 1,2:3"),
+    "kmax": dict(type=int, help="largest operator index (default %(default)s)"),
+    "degmax": dict(type=int, help="largest monomial degree (default %(default)s)"),
+    "convention": dict(choices=("no-delta", "paper-delta"),
+                       help="framed constant-term convention (default %(default)s)"),
+    "samples": dict(type=_int_at_least(0), help="number of sampled cases (default %(default)s)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qvc",
         description="Verify quiver Virasoro constraints and integrate descendents on flag varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run = _Parser(add_help=False)
+    run.add_argument("--jobs", type=_int_at_least(1), default=1,
+                     help="worker processes (default 1)")
+    run.add_argument("--report", help="also write the JSON lines to this file")
+    source = _Parser(add_help=False)
+    source.add_argument("--quiver", help="path to a quiver description file")
+    source.add_argument("--preset", help="built-in quiver preset name")
+
     check = sub.add_parser("check", help="run a verification suite")
-    check.add_argument(
-        "suite",
-        choices=sorted(_BUILDERS),
-        help="which suite to run",
-    )
-    check.add_argument("--quiver", help="path to a quiver description file")
-    check.add_argument("--preset", help="built-in quiver preset name")
-    check.add_argument("--dim", help="dimension vector, comma-separated")
-    check.add_argument("--frame", help="framing vector, comma-separated (commutators suite)")
-    check.add_argument("--flag", help="flag shape DIMS:N, e.g. 1,2:3 (framed/wt0 suites)")
-    check.add_argument("--kmax", type=int, help="largest operator index (default 3)")
-    check.add_argument(
-        "--degmax", type=int, help="largest monomial degree (default: suite-specific)"
-    )
-    check.add_argument(
-        "--convention",
-        choices=("no-delta", "paper-delta"),
-        default="no-delta",
-        help="framed constant-term convention (default no-delta)",
-    )
-    check.add_argument(
-        "--samples", type=int, help="sample count for randomized suites (default 200/60)"
-    )
-    check.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)"
-    )
-    check.add_argument("--report", help="also write the JSON lines to this file")
-    check.set_defaults(func=_run_check)
+    suites = check.add_subparsers(dest="suite", required=True, metavar="SUITE")
+    for name, build, parents, options, summary in (
+        ("commutators", _build_commutators, [source, run],
+         dict(dim=None, frame=None, kmax=3, degmax=6, convention="no-delta"),
+         "[L_n, L_m] = (m - n) L_{n+m} on descendents"),
+        ("framed", _build_framed, [run],
+         dict(flag=None, kmax=3, degmax=None, convention="no-delta"),
+         "framed constraint integrals vanish on a flag variety"),
+        ("wt0", _build_wt0, [run], dict(flag=None, degmax=None),
+         "the weight-zero constraint integrals vanish on a flag variety"),
+        ("duality", _build_duality, [source, run], dict(dim=None, kmax=3, degmax=5),
+         "descendent and lattice Virasoro operators are adjoint"),
+        ("va-axioms", _build_va_axioms, [source, run], dict(samples=200),
+         "vertex-algebra identities on sampled lattice states"),
+        ("bracket", _build_bracket, [source, run], dict(samples=60),
+         "the zero-mode residual and closure of the induced bracket"),
+    ):
+        p = suites.add_parser(name, parents=parents, help=summary, description=summary)
+        for option, default in options.items():
+            spec = _OPTIONS[option]
+            if option == "degmax" and default is None:  # the flag suites
+                spec = {**spec, "help": "largest monomial degree (default: flag dimension + 3)"}
+            p.add_argument(f"--{option}", default=default, **spec)
+        p.set_defaults(func=_run_check, build=build)
 
     integ = sub.add_parser("integrate", help="integrate a descendent expression on a flag variety")
     integ.add_argument("expr", help='descendent expression, e.g. "t[1,1]^4"')
-    integ.add_argument("--flag", required=True, help="flag shape DIMS:N, e.g. 2:4")
+    integ.add_argument("--flag", **_OPTIONS["flag"])
     integ.set_defaults(func=_run_integrate)
     return parser
 

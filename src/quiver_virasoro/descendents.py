@@ -438,6 +438,25 @@ def apply_framed_L(k: int, p: DescPoly, ctx: VirContext,
     return apply_R(k, p, ctx) + framed_T_class(k, ctx, convention) * p
 
 
+def commutator_defect(n: int, m: int, p: DescPoly, ctx: VirContext,
+                      convention: str = "no-delta") -> DescPoly:
+    """[L_n, L_m] p - (m - n) L_{n+m} p, which vanishes for n, m >= -1.
+
+    On a framed context the operators are the framed ones and the identity
+    holds for n, m >= 0 only: the framed L_{-1} bracket picks up a
+    tau(framing) term.  An L_{n+m} below that range counts as 0.
+    """
+    if ctx.framing is None:
+        L = lambda k, x: apply_L(k, x, ctx)
+        lo = -1
+    else:
+        L = lambda k, x: apply_framed_L(k, x, ctx, convention=convention)
+        lo = 0
+    lhs = L(n, L(m, p)) - L(m, L(n, p))
+    rhs = (m - n) * L(n + m, p) if n + m >= lo else DescPoly.zero()
+    return lhs - rhs
+
+
 def zeta(p: DescPoly) -> DescPoly:
     """Pushforward to the unframed algebra: kills every monomial containing
     a descendent of the reserved framing vertex, keeps the rest verbatim."""

@@ -590,6 +590,74 @@ def central_charge(L: Lattice) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the vertex-algebra identities, each as a defect that vanishes exactly
+
+def heisenberg_defect(x, y, n: int, m: int, s: VAState) -> VAState:
+    """[x_(n), y_(m)] s - delta_{n+m,0} n Q_sym(x, y) s."""
+    lhs = heisenberg_mode(x, n, heisenberg_mode(y, m, s)) - heisenberg_mode(
+        y, m, heisenberg_mode(x, n, s)
+    )
+    if n + m == 0 and n != 0:
+        return lhs - (Fraction(n) * s.lattice.qsym(x, y)) * s
+    return lhs
+
+
+def skew_defect(a: VAState, b: VAState, n: int) -> VAState:
+    """a_(n) b - sum_i (-1)^{i+n+1} T^i/i! (b_(n+i) a), summed up to the
+    last mode max_nonzero_mode(b, a) that can be nonzero."""
+    lhs = vertex_mode(a, n, b)
+    rhs = VAState(a.lattice, {})
+    top = max_nonzero_mode(b, a)
+    i = 0
+    sign = -1 if n % 2 == 0 else 1
+    fact = Fraction(1)
+    while n + i <= top:
+        term = vertex_mode(b, n + i, a)
+        if not term.is_zero():
+            for _ in range(i):
+                term = translate(term)
+            rhs = rhs + (Fraction(sign, 1) / fact) * term
+        i += 1
+        sign = -sign
+        fact *= i
+    return lhs - rhs
+
+
+def _binom_gen(m: int, i: int) -> Fraction:
+    """binom(m, i) for any integer m (negative m included)."""
+    out = Fraction(1)
+    for j in range(i):
+        out *= Fraction(m - j, j + 1)
+    return out
+
+
+def iterate_defect(a: VAState, a2: VAState, b: VAState, m: int, n: int) -> VAState:
+    """[a_(m), a2_(n)] b - sum_j binom(m, j) (a_(j) a2)_(m+n-j) b: the
+    commutator formula (the Borcherds identity at one index)."""
+    lhs = vertex_mode(a, m, vertex_mode(a2, n, b)) - vertex_mode(
+        a2, n, vertex_mode(a, m, b)
+    )
+    rhs = VAState(a.lattice, {})
+    top = max_nonzero_mode(a, a2)
+    for j in range(0, top + 1):
+        inner = vertex_mode(a, j, a2)
+        if inner.is_zero():
+            continue
+        rhs = rhs + _binom_gen(m, j) * vertex_mode(inner, m + n - j, b)
+    return lhs - rhs
+
+
+def virasoro_defect(n: int, m: int, s: VAState) -> VAState:
+    """[L_n, L_m] s - (n - m) L_{n+m} s - delta_{n+m,0} c (n^3 - n)/12 s,
+    with c the central charge of the lattice."""
+    lhs = virasoro_mode(n, virasoro_mode(m, s)) - virasoro_mode(m, virasoro_mode(n, s))
+    rhs = (Fraction(n - m)) * virasoro_mode(n + m, s)
+    if n + m == 0:
+        rhs = rhs + Fraction((n**3 - n) * central_charge(s.lattice), 12) * s
+    return lhs - rhs
+
+
+# ---------------------------------------------------------------------------
 # pairing against the descendent algebra
 
 def pairing(tau_poly: DescPoly, s: VAState, ctx: VirContext) -> Fraction:
@@ -683,6 +751,11 @@ def k0_residual(s: VAState) -> VAState:
         for key, c in term.terms.items():
             add_into(out, key, scale * c)
     return VAState(s.lattice, out)
+
+
+def bracket_residual(a: VAState, b: VAState) -> VAState:
+    """k0_residual(a_(0) b): zero when the bracket of a and b is residual-free."""
+    return k0_residual(vertex_mode(a, 0, b))
 
 
 class CosetState:

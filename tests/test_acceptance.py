@@ -58,8 +58,7 @@ def _criterion(num, title):
 
 def _suite_rows(argv):
     args = cli.build_parser().parse_args(argv)
-    cases = cli._BUILDERS[args.suite](args)
-    return [cli._run_case(c) for c in cases]
+    return [cli._run_case(c) for c in args.build(args)]
 
 
 def _fails(rows):

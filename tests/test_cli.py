@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from quiver_virasoro import cli
+from quiver_virasoro.descendents import poly_to_str
 
 ROW_KEYS = {"case", "ms", "residual", "status", "suite"}
 
@@ -322,14 +324,14 @@ def test_raising_case_becomes_an_error_row(capsys, monkeypatch):
     argv = ["check", "commutators", "--preset", "A_1", "--kmax", "1", "--degmax", "1"]
     assert cli.main(argv) == 0
     clean = _rows(capsys.readouterr().out)
-    evaluate = cli._eval_commutator
+    evaluate = cli.commutator_defect
 
-    def flaky(ctx, convention, n, m, ptext):
-        if (n, m, ptext) == (0, 1, "t[1,1]"):
+    def flaky(n, m, p, ctx, convention):
+        if (n, m, poly_to_str(p)) == (0, 1, "t[1,1]"):
             raise RuntimeError("boom")
-        return evaluate(ctx, convention, n, m, ptext)
+        return evaluate(n, m, p, ctx, convention)
 
-    monkeypatch.setattr(cli, "_eval_commutator", flaky)
+    monkeypatch.setattr(cli, "commutator_defect", flaky)
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     rows = _rows(captured.out)
@@ -376,3 +378,95 @@ def test_failing_builder_is_one_error_line(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ("qvc: cannot build suite bracket: "
                            "symmetrized form is degenerate; no dual basis\n")
+
+
+# ---------------------------------------------------------------------------
+# each suite parses exactly the options it reads
+
+ALL_OPTIONS = ("--quiver", "--preset", "--dim", "--frame", "--flag", "--kmax", "--degmax",
+               "--convention", "--samples", "--jobs", "--report")
+SUITE_OPTIONS = {
+    "commutators": {"--quiver", "--preset", "--dim", "--frame", "--kmax", "--degmax",
+                    "--convention", "--jobs", "--report"},
+    "framed": {"--flag", "--kmax", "--degmax", "--convention", "--jobs", "--report"},
+    "wt0": {"--flag", "--degmax", "--jobs", "--report"},
+    "duality": {"--quiver", "--preset", "--dim", "--kmax", "--degmax", "--jobs", "--report"},
+    "va-axioms": {"--quiver", "--preset", "--samples", "--jobs", "--report"},
+    "bracket": {"--quiver", "--preset", "--samples", "--jobs", "--report"},
+}
+# a small valid run of each suite, and a valid value for every option
+SMALL_RUNS = {
+    "commutators": ["--preset", "A_1", "--kmax", "1", "--degmax", "1"],
+    "framed": ["--flag", "1:2", "--kmax", "1"],
+    "wt0": ["--flag", "1:2"],
+    "duality": ["--preset", "A_1", "--kmax", "0", "--degmax", "1"],
+    "va-axioms": ["--preset", "A_1", "--samples", "2"],
+    "bracket": ["--preset", "A_1", "--samples", "2"],
+}
+OPTION_VALUES = {"--quiver": "q.quiver", "--preset": "A_1", "--dim": "1", "--frame": "1",
+                 "--flag": "1:2", "--kmax": "1", "--degmax": "2",
+                 "--convention": "paper-delta", "--samples": "5", "--jobs": "1",
+                 "--report": "rows.jsonl"}
+DROPPED = [(suite, opt) for suite in SUITE_OPTIONS for opt in ALL_OPTIONS
+           if opt not in SUITE_OPTIONS[suite]]
+
+
+def _choices(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_suite_parser_takes_exactly_its_options():
+    suites = _choices(_choices(cli.build_parser())["check"])
+    got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+           for name, p in suites.items()}
+    assert got == SUITE_OPTIONS
+    assert sum(map(len, got.values())) == 36 and len(DROPPED) == 30
+
+
+class _ReadLog(argparse.Namespace):
+    """Records every attribute read after ``reads`` is reset."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+def test_each_suite_reads_every_option_it_takes(capsys, tmp_path, suite):
+    args = cli.build_parser().parse_args(
+        ["check", suite, *SMALL_RUNS[suite], "--report", str(tmp_path / "rows.jsonl")],
+        namespace=_ReadLog())
+    args.reads = set()
+    assert args.func(args) == 0
+    wanted = {opt[2:] for opt in SUITE_OPTIONS[suite]}
+    assert wanted <= args.reads, wanted - args.reads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", suite, *SMALL_RUNS[suite], opt, OPTION_VALUES[opt]] for suite, opt in DROPPED]
+    + [["check", "bracket", "--preset", "A_1", "--samples", "-3"],
+       ["check", "commutators", "--preset", "A_1", "--convention", "paper-delta"]],
+    ids=[f"{suite}{opt}" for suite, opt in DROPPED] + ["negative-samples", "unframed-convention"],
+)
+def test_inputs_that_would_change_nothing_are_rejected(capsys, argv):
+    _error_line(argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "framed", "--flag", "1:2", "--kmax", "x"],
+     ["check", "nosuch"],
+     ["check", "framed", "--kmax", "1"],
+     ["check", "wt0", "--flag", "1:2", "--convention", "paper-delta"]],
+    ids=["bad-int", "unknown-suite", "missing-flag", "dropped-option"],
+)
+def test_parse_errors_are_one_qvc_line_and_exit_one(argv):
+    proc = subprocess.run([sys.executable, "-m", "quiver_virasoro.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("qvc: ") and proc.stderr.count("\n") == 1

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiver_virasoro import descendents
 from quiver_virasoro.descendents import (
@@ -13,6 +15,7 @@ from quiver_virasoro.descendents import (
     apply_Lwt0,
     apply_R,
     apply_S,
+    commutator_defect,
     context,
     enumerate_monomials,
     framed_T_class,
@@ -262,3 +265,54 @@ def test_enumerate_monomials_counts_and_bounds():
     monos = list(enumerate_monomials(("1", "2"), 3, min_degree=1))
     assert all(1 <= m.degree() <= 3 for m in monos)
     assert len(set(poly_to_str(m) for m in monos)) == len(monos)
+
+
+# ---------------------------------------------------------------------------
+# the commutator identity as a defect, on random descendent monomials
+
+_COMMUTATOR_CONTEXTS = (
+    context(preset("A_1"), (2,)),
+    context(preset("A_2"), (2, 1)),
+    context(preset("Kronecker-2"), (1, 1)),
+    context(preset("A_2"), (2, 1), framing=(1, 1)),
+)
+
+
+@st.composite
+def _commutator_inputs(draw):
+    ctx = draw(st.sampled_from(_COMMUTATOR_CONTEXTS))
+    lo = -1 if ctx.framing is None else 0
+    p = DescPoly.const(draw(st.integers(1, 3)))
+    for v, i in draw(st.lists(st.tuples(st.sampled_from(ctx.quiver.vertices),
+                                        st.integers(1, 4)), max_size=3)):
+        p = p * tau(i, v)
+    n = draw(st.integers(lo, 2))
+    return ctx, n, draw(st.integers(n + 1, 3)), p
+
+
+def test_commutator_defect_vanishes_and_is_not_vacuous():
+    # the defect is [L_n, L_m] p - (m - n) L_{n+m} p; once it is zero both
+    # sides equal the commutator, so one nonzero commutator makes both nonzero
+    seen = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_commutator_inputs())
+    def run(inputs):
+        ctx, n, m, p = inputs
+        assert commutator_defect(n, m, p, ctx).is_zero()
+        L = (lambda k, x: apply_L(k, x, ctx)) if ctx.framing is None else (
+            lambda k, x: apply_framed_L(k, x, ctx))
+        seen.append(not (L(n, L(m, p)) - L(m, L(n, p))).is_zero())
+        # with the bracket's sign flipped the defect is 2 (m - n) L_{n+m} p
+        rhs = (m - n) * L(n + m, p)
+        if not rhs.is_zero():
+            assert not (commutator_defect(n, m, p, ctx) + 2 * rhs).is_zero()
+
+    run()
+    assert any(seen)
+
+
+def test_commutator_defect_is_not_zero_for_the_framed_minus_one_mode():
+    ctx = context(preset("A_2"), (2, 1), framing=(1, 1))
+    # below the framed range L_{n+m} counts as 0, so only the commutator is left
+    assert not commutator_defect(-1, 0, tau(2, "1"), ctx).is_zero()

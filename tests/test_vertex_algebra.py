@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_virasoro import linalg, monomials
+from quiver_virasoro import linalg, monomials, vertex_algebra
 from quiver_virasoro.descendents import parse_poly, tau
 from quiver_virasoro.quivers import framify, preset
 from quiver_virasoro.vertex_algebra import (
@@ -18,16 +18,20 @@ from quiver_virasoro.vertex_algebra import (
     conformal_element,
     dual_check,
     dual_pairing_sides,
+    heisenberg_defect,
     heisenberg_mode,
     is_physical,
+    iterate_defect,
     k0_residual,
     lie_bracket,
     max_nonzero_mode,
     osc_monomials,
     pairing,
+    skew_defect,
     translate,
     vacuum,
     vertex_mode,
+    virasoro_defect,
     virasoro_mode,
 )
 
@@ -656,3 +660,113 @@ def test_rows_cached_from_fractions_read_as_ints():
     assert all(type(w) is int for w in lat.pair_row((1, 0, 0, 0)))
     top = max_nonzero_mode(vacuum(lat, (0, 0, 0, 1)), vacuum(lat, (1, 0, 0, 0)))
     assert type(top) is int and top == -1 - lat.qsym((0, 0, 0, 1), (1, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the va-axioms identities as defects: zero, not vacuous, and able to fail
+#
+# Each defect is lhs - rhs.  The tests rebuild lhs from the modes, so once
+# the defect is zero rhs = lhs, and "both sides nonzero on some draw" is
+# "lhs nonzero on some draw".
+
+_IDENTITY_LATTICES = {"A_1": _lat("A_1"), "A_2": _REF_LATTICES["A_2"], "P_2": _REF_LATTICES["P_2"]}
+_IDENTITY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+
+def _small_state(draw, lat, depth):
+    """Up to 2 terms in one sector 0 or +-(one basis vector), of oscillator
+    depth <= depth with modes 1 and 2: every mode window stays small."""
+    i = draw(st.integers(0, lat.rank - 1))
+    sign = draw(st.sampled_from((-1, 0, 1)))
+    sector = tuple(sign if j == i else 0 for j in range(lat.rank))
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        mono = ()
+        for b, k in draw(st.lists(st.tuples(st.sampled_from(lat.basis), st.integers(1, 2)),
+                                  max_size=depth)):
+            mono = monomials.mul(mono, ((b, k, 1),))
+        terms[(sector, mono)] = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    return VAState(lat, terms)
+
+
+@st.composite
+def _triples(draw):
+    lat = _IDENTITY_LATTICES[draw(st.sampled_from(sorted(_IDENTITY_LATTICES)))]
+    return _small_state(draw, lat, 1), _small_state(draw, lat, 1), _small_state(draw, lat, 2)
+
+
+def test_heisenberg_defect_vanishes_and_is_not_vacuous():
+    seen = []
+
+    @_IDENTITY_SETTINGS
+    @given(_triples(), st.data())
+    def run(triple, data):
+        s = triple[2]
+        lat = s.lattice
+        x, y = (data.draw(st.sampled_from(lat.basis)) for _ in range(2))
+        n = data.draw(st.integers(-3, 3))
+        m = data.draw(st.sampled_from((-n, data.draw(st.integers(-3, 3)))))
+        assert heisenberg_defect(x, y, n, m, s).is_zero()
+        lhs = heisenberg_mode(x, n, heisenberg_mode(y, m, s)) - heisenberg_mode(
+            y, m, heisenberg_mode(x, n, s))
+        seen.append(not lhs.is_zero())
+        if n + m == 0 and n and lat.qsym(x, y):
+            # without its central term the defect would be this commutator
+            assert not lhs.is_zero()
+
+    run()
+    assert any(seen)
+
+
+def test_skew_defect_vanishes_and_each_translate_term_counts():
+    seen = {"lhs": False, "mutant": False}
+
+    @_IDENTITY_SETTINGS
+    @given(_triples(), st.integers(-2, 2))
+    def run(triple, n):
+        a, _, b = triple
+        assert skew_defect(a, b, n).is_zero()
+        seen["lhs"] |= not vertex_mode(a, n, b).is_zero()
+        # drop every T^i/i! term with i >= 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vertex_algebra, "translate", lambda s: VAState(s.lattice))
+            seen["mutant"] |= not skew_defect(a, b, n).is_zero()
+
+    run()
+    assert seen == {"lhs": True, "mutant": True}
+
+
+def test_iterate_defect_vanishes_and_is_not_vacuous():
+    seen = []
+
+    @_IDENTITY_SETTINGS
+    @given(_triples(), st.integers(-1, 1), st.integers(-1, 1))
+    def run(triple, m, n):
+        a, a2, b = triple
+        assert iterate_defect(a, a2, b, m, n).is_zero()
+        lhs = vertex_mode(a, m, vertex_mode(a2, n, b)) - vertex_mode(
+            a2, n, vertex_mode(a, m, b))
+        seen.append(not lhs.is_zero())
+
+    run()
+    assert any(seen)
+
+
+def test_virasoro_defect_vanishes_and_needs_the_central_charge():
+    seen = []
+
+    @_IDENTITY_SETTINGS
+    @given(_triples(), st.integers(-3, 3), st.integers(-3, 3))
+    def run(triple, n, m):
+        s = triple[2]
+        assert virasoro_defect(n, m, s).is_zero()
+        lhs = virasoro_mode(n, virasoro_mode(m, s)) - virasoro_mode(m, virasoro_mode(n, s))
+        seen.append(not lhs.is_zero())
+        # a central charge of rank + 1 fails at n + m = 0 wherever n^3 != n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vertex_algebra, "central_charge", lambda L: L.rank + 1)
+            for k in (-3, -2, 2, 3):
+                assert not virasoro_defect(k, -k, s).is_zero(), k
+
+    run()
+    assert any(seen)
