@@ -62,8 +62,8 @@ from .vertex_algebra import (
     VAState,
     central_charge,
     conformal_element,
-    dual_check,
     dual_pairing_sides,
+    duality_defect,
     heisenberg_mode,
     is_physical,
     k0_residual,
@@ -129,8 +129,8 @@ __all__ = [
     "VAState",
     "central_charge",
     "conformal_element",
-    "dual_check",
     "dual_pairing_sides",
+    "duality_defect",
     "heisenberg_mode",
     "is_physical",
     "k0_residual",

@@ -35,7 +35,6 @@ from multiprocessing import Pool
 from . import monomials
 from .descendents import (
     DescPoly,
-    VirContext,
     commutator_defect,
     context,
     enumerate_monomials,
@@ -50,12 +49,12 @@ from .flags import (
     weight_zero_residual,
 )
 from .linalg import kernel_basis
-from .quivers import Quiver, framify, parse_quiver, preset, preset_names
+from .quivers import framify, parse_quiver, preset, preset_names
 from .vertex_algebra import (
     Lattice,
     VAState,
     bracket_residual,
-    dual_pairing_sides,
+    duality_defect,
     heisenberg_defect,
     iterate_defect,
     k0_residual,
@@ -78,65 +77,17 @@ def _residual(x) -> Fraction:
     return abs(x)
 
 
-def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise SystemExit(f"qvc: invalid {what} {text!r}: expected comma-separated integers")
-
-
-def _vertex_ints(flag: str, text, from_file, q, count: int, what: str):
-    """The --dim/--frame vector from the flag, else from the quiver file,
-    else None; its length must be ``count`` and its entries nonnegative."""
-    if text is not None:
-        vec = _parse_csv_ints(text, flag)
-    elif from_file is not None:
-        missing = [v for v in q.vertices if v not in from_file]
-        if missing:
-            raise SystemExit(f"qvc: the quiver file gives no {flag[2:]} for vertex {missing[0]!r}")
-        vec = tuple(from_file[v] for v in q.vertices)
-    else:
-        return None
-    if len(vec) != count:
-        raise SystemExit(f"qvc: {flag} has {len(vec)} entries but the quiver has {count} {what}")
-    if min(vec, default=0) < 0:
-        raise SystemExit(f"qvc: {flag} entries must be nonnegative, got {vec}")
-    return vec
-
-
-def _load_quiver(args) -> tuple[Quiver, tuple[int, ...], tuple[int, ...] | None]:
-    """Resolve --quiver/--preset/--dim/--frame into (quiver, dims, frames)."""
-    if args.quiver is not None and args.preset is not None:
-        raise SystemExit("qvc: --quiver and --preset are mutually exclusive")
-    file_dims = file_frames = None
-    if args.quiver is not None:
-        try:
-            text = open(args.quiver, encoding="utf-8").read()
-        except OSError as exc:
-            raise SystemExit(f"qvc: cannot read quiver file: {exc}")
-        try:
-            q, file_dims, file_frames = parse_quiver(text)
-        except ValueError as exc:
-            raise SystemExit(f"qvc: invalid quiver file: {exc}")
-    elif args.preset is not None:
-        try:
-            q = preset(args.preset)
-        except ValueError:
-            names = ", ".join(preset_names())
-            raise SystemExit(f"qvc: unknown preset {args.preset!r} (known: {names})")
-    else:
-        raise SystemExit("qvc: one of --quiver or --preset is required")
-
-    dims = _vertex_ints(
-        "--dim", getattr(args, "dim", None), file_dims, q, len(q.vertices), "vertices"
-    )
-    frames = _vertex_ints(
-        "--frame", getattr(args, "frame", None), file_frames, q, len(q.unfrozen),
-        "unfrozen vertices",
-    )
-    if frames is not None and q.frozen:
-        raise SystemExit("qvc: --frame applies only to quivers without frozen vertices")
-    return q, dims or (1,) * len(q.vertices), frames
+def _vector(option, lines, vertices, what: str, default):
+    """The dim or frame vector a suite reads: the option, else the quiver
+    file's ``what`` lines in the order of ``vertices``, else ``default``."""
+    if option is not None:
+        return option
+    if lines is None:
+        return default
+    missing = [v for v in vertices if v not in lines]
+    if missing:
+        raise SystemExit(f"qvc: the quiver file gives no {what} for vertex {missing[0]!r}")
+    return tuple(lines[v] for v in vertices)
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +97,8 @@ def _load_quiver(args) -> tuple[Quiver, tuple[int, ...], tuple[int, ...] | None]
 # function, payload the tuple of its arguments, and the residual of a case
 # is _residual of what check returns.  Payloads hold the value objects
 # themselves; under --jobs they are pickled into the workers with the check.
-# Flag and duality polynomials travel as their canonical text (the case id).
-# The flag and duality adapters below parse that text for their functions.
+# Flag polynomials travel as their canonical text (the case id); the flag
+# adapters below parse that text for their functions.
 
 
 def _eval_framed(shape: FlagShape, k: int, ptext: str, convention: str) -> Fraction:
@@ -156,11 +107,6 @@ def _eval_framed(shape: FlagShape, k: int, ptext: str, convention: str) -> Fract
 
 def _eval_wt0(shape: FlagShape, ptext: str) -> Fraction:
     return weight_zero_residual(shape, parse_poly(ptext))
-
-
-def _eval_duality(k: int, ptext: str, state: VAState, ctx: VirContext) -> Fraction:
-    lhs, rhs = dual_pairing_sides(k, parse_poly(ptext), state, state.lattice, ctx=ctx)
-    return lhs - rhs
 
 
 def _run_case(case):
@@ -180,7 +126,10 @@ def _run_case(case):
 
 
 def _build_commutators(args):
-    q, dims, frames = _load_quiver(args)
+    q, file_dims, file_frames = args.source
+    dims = _vector(args.dim, file_dims, q.vertices, "dim", (1,) * len(q.vertices))
+    # a frozen quiver takes no framing at all, which context() reports
+    frames = _vector(args.frame, file_frames, () if q.frozen else q.vertices, "frame", None)
     if frames is None and args.convention != "no-delta":
         raise SystemExit("qvc: --convention applies only to framed commutators (--frame)")
     ctx = context(q, dims, framing=frames)
@@ -240,9 +189,11 @@ def _build_wt0(args):
 
 
 def _build_duality(args):
-    q, dims, _ = _load_quiver(args)
+    q, file_dims, _ = args.source
     if q.frozen:
         raise SystemExit("qvc: the duality suite expects an unframed quiver")
+    dims = _vector(args.dim, file_dims, q.vertices, "dim", (1,) * len(q.vertices))
+    ctx_emb = context(q, dims)
     fr = framify(q)
 
     # Full framified sector (frozen copies get multiplicity 1) and the
@@ -253,7 +204,7 @@ def _build_duality(args):
 
     taus = {d: [] for d in range(0, args.degmax + 1)}
     for p in enumerate_monomials(q.vertices, args.degmax):
-        taus[p.degree() if not p.is_zero() else 0].append(poly_to_str(p))
+        taus[p.degree() if not p.is_zero() else 0].append((p, poly_to_str(p)))
     lat = Lattice.from_quiver(fr)
     # The framified check runs over the full oscillator algebra; the embedded
     # check pairs against the unframed descendent algebra, so its states use
@@ -268,21 +219,21 @@ def _build_duality(args):
     cases = []
     for variant, sector, osc, ctx in (
         ("framified", sector_full, osc_full, context(fr, sector_full)),
-        ("embedded", sector_emb, osc_base, context(q, dims)),
+        ("embedded", sector_emb, osc_base, ctx_emb),
     ):
         for k in range(-1, args.kmax + 1):
             for tdeg in range(0, args.degmax + 1):
                 sdeg = tdeg + k
                 if sdeg < 0 or sdeg > args.degmax:
                     continue
-                for ptext in taus[tdeg]:
+                for p, ptext in taus[tdeg]:
                     for mono in osc[sdeg]:
                         mtxt = (
                             "*".join(f"x[{v},{kk}]^{pw}" for v, kk, pw in mono) or "1"
                         )
                         cid = f"{variant},k={k},tau={ptext},s={mtxt}"
                         state = VAState(lat, {(sector, mono): 1})
-                        cases.append(("duality", cid, _eval_duality, (k, ptext, state, ctx)))
+                        cases.append(("duality", cid, duality_defect, (k, p, state, ctx)))
     return cases
 
 
@@ -308,7 +259,7 @@ def _random_sector(rng: random.Random, lat: Lattice, lo=-2, hi=2):
 
 
 def _build_va_axioms(args):
-    q, _, _ = _load_quiver(args)
+    q = args.source[0]
     if not q.frozen:
         q = framify(q)
     lat = Lattice.from_quiver(q)
@@ -371,7 +322,7 @@ def _build_va_axioms(args):
 
 
 def _build_bracket(args):
-    q, _, _ = _load_quiver(args)
+    q = args.source[0]
     if not q.frozen:
         q = framify(q)
     lat = Lattice.from_quiver(q)
@@ -517,11 +468,41 @@ def _flag_shape(text: str) -> FlagShape:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _csv_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+# --quiver and --preset both give a suite its source: (quiver, the file's
+# dim lines, the file's frame lines), the line dicts None when absent
+def _quiver_file(path: str):
+    try:
+        text = open(path, encoding="utf-8").read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read quiver file: {exc}")
+    try:
+        return parse_quiver(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid quiver file: {exc}")
+
+
+def _preset(name: str):
+    try:
+        return preset(name), None, None
+    except ValueError:
+        names = ", ".join(preset_names())
+        raise argparse.ArgumentTypeError(f"unknown preset {name!r} (known: {names})")
+
+
 # option -> its argparse spec; each suite below names the options it reads,
 # with its own defaults
 _OPTIONS = {
-    "dim": dict(help="dimension vector, comma-separated (default: the file's, else all 1)"),
-    "frame": dict(help="framing vector, comma-separated (default: the file's, else none)"),
+    "dim": dict(type=_csv_ints,
+                help="dimension vector, comma-separated (default: the file's, else all 1)"),
+    "frame": dict(type=_csv_ints,
+                  help="framing vector, comma-separated (default: the file's, else none)"),
     "flag": dict(type=_flag_shape, required=True, help="flag shape DIMS:N, e.g. 1,2:3"),
     "kmax": dict(type=int, help="largest operator index (default %(default)s)"),
     "degmax": dict(type=int, help="largest monomial degree (default %(default)s)"),
@@ -543,8 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default 1)")
     run.add_argument("--report", help="also write the JSON lines to this file")
     source = _Parser(add_help=False)
-    source.add_argument("--quiver", help="path to a quiver description file")
-    source.add_argument("--preset", help="built-in quiver preset name")
+    one_of = source.add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--quiver", dest="source", type=_quiver_file,
+                        help="path to a quiver description file")
+    one_of.add_argument("--preset", dest="source", type=_preset, help="built-in quiver preset name")
 
     check = sub.add_parser("check", help="run a verification suite")
     suites = check.add_subparsers(dest="suite", required=True, metavar="SUITE")

@@ -275,24 +275,32 @@ class VirContext:
     framing: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.dim) != len(self.quiver.vertices):
-            raise ValueError("dim vector length mismatch")
-        if any(d < 0 for d in self.dim):
-            raise ValueError("dimension entries must be nonnegative")
-        if self.framing is not None:
-            if self.quiver.frozen:
-                raise ValueError("framing vectors apply to quivers without "
-                                 "frozen vertices")
-            if len(self.framing) != len(self.quiver.vertices):
-                raise ValueError("framing vector length mismatch")
+        if self.framing is not None and self.quiver.frozen:
+            raise ValueError("a framing vector applies only to quivers without "
+                             "frozen vertices")
+        n = len(self.quiver.vertices)
+        for name, vec in (("dim", self.dim), ("framing", self.framing)):
+            if vec is None:
+                continue
+            if len(vec) != n:
+                raise ValueError(f"{name} vector has {len(vec)} entries but the "
+                                 f"quiver has {n} vertices")
+            if any(x < 0 for x in vec):
+                raise ValueError(f"{name} vector entries must be nonnegative, "
+                                 f"got {vec}")
 
     def dim_of(self, v: str) -> int:
         return self.dim[self.quiver.index(v)]
 
 
 def context(q: Quiver, dim, framing=None) -> VirContext:
-    fr = None if framing is None else coords(q, framing)
-    return VirContext(q, coords(q, dim), fr)
+    """The context of q; each vector is a sequence in vertex order or a
+    {vertex: value} mapping (absent vertices 0), checked by VirContext."""
+    def ordered(d):
+        # dict first: the flag contexts pass dicts, once per case
+        return coords(q, d) if isinstance(d, (dict, Mapping)) else tuple(d)
+
+    return VirContext(q, ordered(dim), None if framing is None else ordered(framing))
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,10 @@ class FlagShape:
         try:
             dims_part, amb = text.split(":")
             dims = tuple(int(x) for x in dims_part.split(","))
-            return cls(dims, int(amb))
+            ambient = int(amb)
         except ValueError as exc:
             raise ValueError(f"bad flag shape {text!r}: want DIMS:N") from exc
+        return cls(dims, ambient)
 
     def __str__(self):
         return ",".join(map(str, self.dims)) + f":{self.ambient}"

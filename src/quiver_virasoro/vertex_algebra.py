@@ -714,11 +714,11 @@ def dual_pairing_sides(k: int, tau_poly: DescPoly, s: VAState, L: Lattice,
     return lhs, rhs
 
 
-def dual_check(k: int, tau_poly: DescPoly, s: VAState, L: Lattice,
-               ctx: VirContext | None = None) -> bool:
-    """True iff the adjointness relation holds on the given data."""
-    lhs, rhs = dual_pairing_sides(k, tau_poly, s, L, ctx)
-    return lhs == rhs
+def duality_defect(k: int, tau_poly: DescPoly, s: VAState, ctx: VirContext) -> Fraction:
+    """lhs - rhs of ``dual_pairing_sides`` on the lattice of s: zero exactly
+    when the adjointness relation holds (the ``duality`` suite's identity)."""
+    lhs, rhs = dual_pairing_sides(k, tau_poly, s, s.lattice, ctx)
+    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

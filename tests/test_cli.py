@@ -168,7 +168,7 @@ def test_unknown_preset_lists_the_known_names():
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "commutators", "--preset", "nope"])
     msg = str(exc.value)
-    assert "unknown preset" in msg and "a1" in msg
+    assert msg.startswith("qvc: argument --preset: unknown preset 'nope'") and "a1" in msg
 
 
 def test_quiver_and_preset_are_mutually_exclusive(tmp_path):
@@ -177,13 +177,13 @@ def test_quiver_and_preset_are_mutually_exclusive(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "commutators", "--preset", "A_1",
                   "--quiver", str(qfile)])
-    assert "mutually exclusive" in str(exc.value)
+    assert str(exc.value) == "qvc: argument --quiver: not allowed with argument --preset"
 
 
 def test_quiver_or_preset_is_required():
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "commutators"])
-    assert "--quiver or --preset" in str(exc.value)
+    assert str(exc.value) == "qvc: one of the arguments --quiver --preset is required"
 
 
 def test_flag_suites_require_flag():
@@ -195,7 +195,8 @@ def test_flag_suites_require_flag():
 def test_bad_dim_vector_is_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "commutators", "--preset", "A_2", "--dim", "1"])
-    assert "--dim" in str(exc.value)
+    assert str(exc.value) == ("qvc: cannot build suite commutators: "
+                              "dim vector has 1 entries but the quiver has 2 vertices")
 
 
 def _error_line(argv) -> str:
@@ -287,7 +288,8 @@ def test_unopenable_report_path_fails_before_any_case(tmp_path):
      (["check", "commutators", "--preset", "A_2", "--frame=0,-2"], "--frame")],
 )
 def test_negative_dim_or_frame_is_rejected(argv, flag):
-    assert f"{flag} entries must be nonnegative" in _error_line(argv)
+    vector = {"--dim": "dim", "--frame": "framing"}[flag]
+    assert f"{vector} vector entries must be nonnegative" in _error_line(argv)
 
 
 @pytest.mark.parametrize("directive", ["dim", "frame"])
@@ -308,7 +310,74 @@ def test_frame_on_a_quiver_with_frozen_vertices_is_rejected(tmp_path):
 def test_malformed_quiver_file_is_rejected(tmp_path):
     qfile = tmp_path / "bad.quiver"
     qfile.write_text("vertex a\narrow a a\n")
-    assert "invalid quiver file" in _error_line(["check", "commutators", "--quiver", str(qfile)])
+    assert _error_line(["check", "commutators", "--quiver", str(qfile)]) == (
+        "qvc: argument --quiver: invalid quiver file: line 2: unknown directive 'arrow'")
+
+
+PLAIN = "vertex a\nvertex b\nedge a b\n"
+
+
+@pytest.mark.parametrize(
+    "suite,extra,options",
+    [("va-axioms", "dim a 1\n", ["--samples", "8"]),
+     ("bracket", "dim a 1\n", ["--samples", "8"]),
+     ("duality", "frame a 1\n", ["--kmax", "1", "--degmax", "2"])],
+)
+def test_suites_ignore_vector_lines_they_do_not_read(capsys, tmp_path, suite, extra, options):
+    rows = []
+    for name, text in (("plain", PLAIN), ("extra", PLAIN + extra)):
+        qfile = tmp_path / f"{name}.quiver"
+        qfile.write_text(text)
+        assert cli.main(["check", suite, "--quiver", str(qfile), *options]) == 0
+        rows.append(_sans_ms(_rows(capsys.readouterr().out)))
+    assert rows[0] == rows[1] and len(rows[0]) > 1
+
+
+FILES = {"frozen": "vertex 0 frozen\nvertex 1\nedge 0 1\n",
+         "frozen-framed": "vertex 0 frozen\nvertex 1\nedge 0 1\nframe 1 1\n",
+         "frozen-vertex-framed": "vertex 0 frozen\nvertex 1\nedge 0 1\nframe 0 1\n",
+         "partial-dim": PLAIN + "dim a 1\n"}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["duality", "--quiver", "{missing}"],
+      "qvc: argument --quiver: cannot read quiver file: "),
+     (["commutators", "--preset", "A_2", "--dim", "1,x"],
+      "qvc: argument --dim: expected comma-separated integers, got '1,x'"),
+     (["duality", "--preset", "A_2", "--dim", "2.5,1"],
+      "qvc: argument --dim: expected comma-separated integers, got '2.5,1'"),
+     (["commutators", "--preset", "A_2", "--frame", ""],
+      "qvc: argument --frame: expected comma-separated integers, got ''"),
+     (["commutators", "--preset", "A_2", "--frame", "1,1,1"],
+      "qvc: cannot build suite commutators: "
+      "framing vector has 3 entries but the quiver has 2 vertices"),
+     (["duality", "--preset", "A_2", "--dim=1,-1"],
+      "qvc: cannot build suite duality: dim vector entries must be nonnegative, got (1, -1)"),
+     (["commutators", "--quiver", "{frozen-framed}"],
+      "qvc: cannot build suite commutators: "
+      "a framing vector applies only to quivers without frozen vertices"),
+     (["commutators", "--quiver", "{frozen-vertex-framed}"],
+      "qvc: cannot build suite commutators: "
+      "a framing vector applies only to quivers without frozen vertices"),
+     (["duality", "--quiver", "{partial-dim}"],
+      "qvc: the quiver file gives no dim for vertex 'b'"),
+     (["duality", "--quiver", "{frozen}"],
+      "qvc: the duality suite expects an unframed quiver"),
+     (["framed", "--flag", "5:2"],
+      "qvc: argument --flag: largest step must be smaller than the ambient")],
+    ids=["unreadable-file", "non-integer-dim", "fractional-dim", "empty-frame",
+         "frame-length", "negative-dim", "frozen-frame-lines", "frozen-vertex-frame-line",
+         "duality-missing-dim", "duality-frozen", "impossible-flag"],
+)
+def test_bad_input_names_the_option_or_vector(capsys, tmp_path, argv, message):
+    paths = {name: tmp_path / f"{name}.quiver" for name in FILES}
+    for name, path in paths.items():
+        path.write_text(FILES[name])
+    paths["missing"] = tmp_path / "missing.quiver"
+    line = _error_line(["check", *(a.format(**paths) for a in argv)])
+    assert line.startswith(message)
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_suite_is_an_argparse_error(capsys):
@@ -436,12 +505,16 @@ class _ReadLog(argparse.Namespace):
 
 @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
 def test_each_suite_reads_every_option_it_takes(capsys, tmp_path, suite):
-    args = cli.build_parser().parse_args(
+    parser = cli.build_parser()
+    args = parser.parse_args(
         ["check", suite, *SMALL_RUNS[suite], "--report", str(tmp_path / "rows.jsonl")],
         namespace=_ReadLog())
     args.reads = set()
     assert args.func(args) == 0
-    wanted = {opt[2:] for opt in SUITE_OPTIONS[suite]}
+    # --quiver and --preset share one dest, so map each option to its dest
+    dest = {o: a.dest for a in _choices(_choices(parser)["check"])[suite]._actions
+            for o in a.option_strings}
+    wanted = {dest[opt] for opt in SUITE_OPTIONS[suite]}
     assert wanted <= args.reads, wanted - args.reads
 
 
@@ -462,8 +535,9 @@ def test_inputs_that_would_change_nothing_are_rejected(capsys, argv):
     [["check", "framed", "--flag", "1:2", "--kmax", "x"],
      ["check", "nosuch"],
      ["check", "framed", "--kmax", "1"],
-     ["check", "wt0", "--flag", "1:2", "--convention", "paper-delta"]],
-    ids=["bad-int", "unknown-suite", "missing-flag", "dropped-option"],
+     ["check", "wt0", "--flag", "1:2", "--convention", "paper-delta"],
+     ["check", "commutators", "--preset", "nope"]],
+    ids=["bad-int", "unknown-suite", "missing-flag", "dropped-option", "unknown-preset"],
 )
 def test_parse_errors_are_one_qvc_line_and_exit_one(argv):
     proc = subprocess.run([sys.executable, "-m", "quiver_virasoro.cli", *argv],

@@ -76,12 +76,25 @@ def test_context_validation():
     q = preset("A_2")
     ctx = context(q, (2, 1))
     assert ctx.dim_of("1") == 2
-    with pytest.raises(ValueError):
-        context(q, (1,))  # wrong length
-    with pytest.raises(ValueError):
-        context(q, (-1, 1))  # negative dimension
-    with pytest.raises(ValueError):
-        context(framify(q), (1, 1, 1, 1), framing=(1, 1))  # framing on frozen
+    assert context(q, {"2": 3}, framing={"1": 1}).dim == (0, 3)
+    for dim, framing, message in [
+        ((1,), None, "dim vector has 1 entries but the quiver has 2 vertices"),
+        ((-1, 1), None, "dim vector entries must be nonnegative, got (-1, 1)"),
+        ((1, 1), (1, 1, 1), "framing vector has 3 entries but the quiver has 2 vertices"),
+        ((1, 1), (0, -2), "framing vector entries must be nonnegative, got (0, -2)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            context(q, dim, framing=framing)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        context(preset("A_1"), (1,), framing=(-2,))
+    assert "nonnegative" in str(exc.value)
+    # a framing on a frozen quiver is refused as such, whatever its length
+    for framing in [(1, 1), (1, 1, 1, 1)]:
+        with pytest.raises(ValueError) as exc:
+            context(framify(q), (1, 1, 1, 1), framing=framing)
+        assert str(exc.value) == ("a framing vector applies only to quivers "
+                                  "without frozen vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +329,4 @@ def test_commutator_defect_is_not_zero_for_the_framed_minus_one_mode():
     ctx = context(preset("A_2"), (2, 1), framing=(1, 1))
     # below the framed range L_{n+m} counts as 0, so only the commutator is left
     assert not commutator_defect(-1, 0, tau(2, "1"), ctx).is_zero()
+

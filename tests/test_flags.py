@@ -46,10 +46,21 @@ def test_shape_parse_and_str():
     assert FlagShape.parse(str(s)) == s
 
 
-@pytest.mark.parametrize("bad", ["", "3", "1,1:3", "2,1:4", "3:3", "0:2", "1:x"])
+# a well-formed but impossible shape keeps the reason FlagShape gives
+SHAPE_FAULTS = {
+    "1,1:3": "flag dimensions must strictly increase",
+    "2,1:4": "flag dimensions must strictly increase",
+    "3:3": "largest step must be smaller than the ambient",
+    "0:2": "flag dimensions must be positive",
+    "5:2": "largest step must be smaller than the ambient",
+}
+
+
+@pytest.mark.parametrize("bad", ["", "3", "1,1:3", "2,1:4", "3:3", "0:2", "1:x", "5:2", "1:2:3"])
 def test_shape_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         FlagShape.parse(bad)
+    assert str(exc.value) == SHAPE_FAULTS.get(bad, f"bad flag shape {bad!r}: want DIMS:N")
 
 
 @pytest.mark.parametrize(

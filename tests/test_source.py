@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quiver_virasoro"
@@ -15,3 +17,14 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_docstring_examples_run():
+    attempted = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"quiver_virasoro{name}")
+        result = doctest.testmod(module)
+        assert result.failed == 0, path.name
+        attempted += result.attempted
+    assert attempted >= 1
