@@ -392,17 +392,22 @@ def apply_Lwt0(p: DescPoly, ctx: VirContext) -> DescPoly:
     """Weight-zero combination sum_j ((-1)^j/(j+1)!) L_j R_{-1}^{j+1} p.
 
     The sum truncates once R_{-1}^{j+1} kills p (each R_{-1} lowers degree
-    by one); the image lies in ker R_{-1}.
+    by one); the image lies in ker R_{-1}.  Every term of every L_j goes
+    straight into one accumulator.
     """
-    out = DescPoly.zero()
+    out: dict[Monomial, Fraction] = {}
     r = p
     j = -1
     while not r.is_zero():
-        sign = -1 if j % 2 else 1
-        out = out + Fraction(sign, factorial(j + 1)) * apply_L(j, r, ctx)
+        scale = Fraction(-1 if j % 2 else 1, factorial(j + 1))
+        for m, c in apply_R(j, r, ctx).terms.items():
+            monomials.add_into(out, m, scale * c)
+        for m1, c1 in T_class(j, ctx).terms.items():
+            for m2, c2 in r.terms.items():
+                monomials.add_into(out, monomials.mul(m1, m2), scale * c1 * c2)
         r = apply_R(-1, r, ctx)
         j += 1
-    return out
+    return DescPoly(out)
 
 
 def _tau_of_framing(k: int, ctx: VirContext) -> DescPoly:
@@ -425,6 +430,12 @@ def framed_T_class(k: int, ctx: VirContext,
     ``convention="paper-delta"`` adds the historical +1 at k = 0; the
     default omits it (the framed pushforward cancels that constant, and the
     geometric residual checks only vanish without it).  k = -1 gives 0.
+
+    Framing at infinity gives the paper-delta form: with q framed by n and
+    dim d, ``zeta(T_class(k, context(frame_at_infinity(q, n), (1, *d))))``
+    equals this class under ``"paper-delta"`` for every k, and differs from
+    the default by delta_{k,0}, the +1 that T_class adds because ∞ is
+    frozen (tested for A_1 and on the flag shapes' ``infinity_context``).
     """
     if ctx.framing is None:
         raise ValueError("framed_T_class needs a context with a framing")

@@ -116,7 +116,13 @@ def flag_context(shape: FlagShape) -> VirContext:
 
 
 def infinity_context(shape: FlagShape) -> VirContext:
-    """Context over the chain quiver framed at infinity, dim (1, d-bar)."""
+    """Context over the chain quiver framed at infinity, dim (1, d-bar).
+
+    ``zeta(T_class(k, infinity_context(s)))`` is
+    ``framed_T_class(k, flag_context(s), convention="paper-delta")``: ∞ is
+    frozen, so T_class adds the +1 at k = 0 that the default ``no-delta``
+    framed class omits.
+    """
     q = chain_quiver(shape)
     dims = {str(i + 1): d for i, d in enumerate(shape.dims)}
     inf = frame_at_infinity(q, framing_vector(shape))

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from quiver_virasoro import cli
-from quiver_virasoro.descendents import apply_L, context, enumerate_monomials, tau
+from quiver_virasoro.descendents import apply_L, context, enumerate_monomials, parse_poly, tau
 from quiver_virasoro.flags import (
     FlagShape,
     alt_weights,
@@ -65,6 +65,20 @@ def _fails(rows):
     return [r for r in rows if r["status"] != "pass"]
 
 
+def _admissible(rows, shape):
+    """Rows that can be nonzero by degree, read from the case ids:
+    deg tau + k = dim for framed, deg tau = dim + 1 for wt0."""
+    dim = dimension(FlagShape.parse(shape))
+    count = 0
+    for r in rows:
+        if r["suite"] == "framed":
+            k, text = r["case"].removeprefix("k=").split(",tau=")
+            count += parse_poly(text).degree() + int(k) == dim
+        else:
+            count += parse_poly(r["case"].removeprefix("tau=")).degree() == dim + 1
+    return count
+
+
 @_criterion(1, "descendent commutators")
 def test_criterion_1_descendent_commutators():
     t0 = time.perf_counter()
@@ -105,11 +119,14 @@ def test_criterion_1_descendent_commutators():
 @_criterion(2, "framed constraints on flags")
 def test_criterion_2_framed_constraints():
     t0 = time.perf_counter()
-    total = 0
+    total = admissible = 0
     for shape in SHAPES:
         rows = _suite_rows(["check", "framed", "--flag", shape])
         assert not _fails(rows), f"shape {shape}: {_fails(rows)[:3]}"
+        live = _admissible(rows, shape)
+        assert live >= 1, f"shape {shape}: no admissible case"
         total += len(rows)
+        admissible += live
     audit = framed_virasoro_residual(
         FlagShape.parse("1:2"), 0, tau(1, "1"), "paper-delta"
     )
@@ -117,19 +134,26 @@ def test_criterion_2_framed_constraints():
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
     return (
-        f"7 shapes, k in [0,3], deg<=dim+3, {total} residuals all 0; "
+        f"7 shapes, k in [0,3], deg<=dim+3, {total} residuals all 0, "
+        f"{admissible} admissible (deg tau + k = dim); "
         "paper-delta audit (1:2, k=0, t[1,1]) = 1 as documented"
     )
 
 
 @_criterion(3, "weight-zero route")
 def test_criterion_3_weight_zero_route():
-    total = 0
+    total = admissible = 0
     for shape in SHAPES:
         rows = _suite_rows(["check", "wt0", "--flag", shape])
         assert not _fails(rows), f"shape {shape}: {_fails(rows)[:3]}"
+        live = _admissible(rows, shape)
+        assert live >= 1, f"shape {shape}: no admissible case"
         total += len(rows)
-    return f"7 shapes, deg<=dim+3, {total} zeta(L_wt0) residuals all 0"
+        admissible += live
+    return (
+        f"7 shapes, deg<=dim+3, {total} zeta(L_wt0) residuals all 0, "
+        f"{admissible} admissible (deg tau = dim + 1)"
+    )
 
 
 @_criterion(4, "lattice vertex algebra axioms")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiver_virasoro import descendents
+from quiver_virasoro import descendents, monomials
 from quiver_virasoro.descendents import (
     DescPoly,
     T_class,
@@ -24,6 +24,7 @@ from quiver_virasoro.descendents import (
     tau,
     zeta,
 )
+from quiver_virasoro.flags import FlagShape, infinity_context
 from quiver_virasoro.quivers import INFINITY, frame_at_infinity, framify, preset
 
 
@@ -188,6 +189,56 @@ def test_Lwt0_reduces_to_minus_L_minus_one_on_R_kernel():
     ):
         assert apply_R(-1, p, ctx).is_zero(), poly_to_str(p)
         assert apply_Lwt0(p, ctx) == -1 * apply_L(-1, p, ctx), poly_to_str(p)
+
+
+def _reference_Lwt0(p, ctx):
+    """The defining series term by term, through apply_L and DescPoly sums."""
+    out = DescPoly.zero()
+    r = p
+    j = -1
+    while not r.is_zero():
+        sign = -1 if j % 2 else 1
+        out = out + Fraction(sign, factorial(j + 1)) * apply_L(j, r, ctx)
+        r = apply_R(-1, r, ctx)
+        j += 1
+    return out
+
+
+_LWT0_CONTEXTS = (
+    *(infinity_context(FlagShape.parse(s)) for s in ("1:3", "1,2:4", "2:5", "1,2,3:4")),
+    context(frame_at_infinity(preset("A_1"), (2,)), (1, 1)),
+)
+
+
+@st.composite
+def _lwt0_inputs(draw):
+    """A context over a quiver framed at infinity and a polynomial of up to
+    4 terms with rational coefficients, ∞ descendents and constants."""
+    ctx = draw(st.sampled_from(_LWT0_CONTEXTS))
+    gens = st.tuples(st.sampled_from(ctx.quiver.vertices), st.integers(1, 4))
+    terms = {}
+    for factors in draw(st.lists(st.lists(gens, max_size=3), min_size=1, max_size=4)):
+        mono = ()
+        for v, i in factors:
+            mono = monomials.mul(mono, ((v, i, 1),))
+        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        terms[mono] = terms.get(mono, 0) + coeff
+    return ctx, DescPoly(terms)
+
+
+def test_Lwt0_matches_the_defining_series():
+    nonzero = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=160)
+    @given(_lwt0_inputs())
+    def run(inputs):
+        ctx, p = inputs
+        got = apply_Lwt0(p, ctx)
+        assert got == _reference_Lwt0(p, ctx), poly_to_str(p)
+        nonzero.append(not got.is_zero())
+
+    run()
+    assert sum(nonzero) >= 50
 
 
 def test_zeta_kills_infinity_descendents():

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from quiver_virasoro import flags, monomials
 from quiver_virasoro.descendents import (
     DescPoly,
+    T_class,
     apply_framed_L,
     apply_L,
     apply_Lwt0,
+    framed_T_class,
     parse_poly,
     tau,
+    zeta,
 )
 from quiver_virasoro.flags import (
     FixedPoint,
@@ -254,6 +257,18 @@ def test_weight_zero_residuals_vanish():
             assert weight_zero_residual(s, p) == 0, (text, p)
     s = FlagShape.parse("1,2:3")
     assert weight_zero_residual(s, tau(1, "1") * tau(1, "2")) == 0
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_SHAPES + ["1,2:5", "1,2,3,4:5"])
+def test_infinity_T_class_is_the_paper_delta_framed_class(text):
+    # Framing at infinity: zeta(T_k) on the infinity quiver is framed T_k
+    # with the paper's delta_{k,0}, the +1 T_class adds because ∞ is frozen.
+    shape = FlagShape.parse(text)
+    ictx, fctx = infinity_context(shape), flag_context(shape)
+    for k in range(-1, 6):
+        collapsed = zeta(T_class(k, ictx))
+        assert collapsed == framed_T_class(k, fctx, convention="paper-delta"), k
+        assert collapsed - framed_T_class(k, fctx) == int(k == 0), k
 
 
 def test_weight_zero_residual_weight_independent():
