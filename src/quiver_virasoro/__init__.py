@@ -3,7 +3,7 @@
 The package has six layers:
 
 * :mod:`quiver_virasoro.linalg` -- exact rational linear algebra used
-  throughout (row reduction, determinants, kernels).
+  throughout (row reduction, inverses, kernels).
 * :mod:`quiver_virasoro.monomials` -- the sparse-monomial kernel shared by
   the two polynomial algebras below: the monomial format, product, degree,
   factor removal, term accumulation and enumeration by degree.
@@ -15,7 +15,7 @@ The package has six layers:
 * :mod:`quiver_virasoro.vertex_algebra` -- the lattice vertex algebra
   attached to a quiver, built on :mod:`~quiver_virasoro.monomials`: Fock
   states, vertex operator modes, the conformal element, the residue
-  pairing, and the induced bracket.
+  pairing, and the K_0 residual that the bracket suite checks.
 * :mod:`quiver_virasoro.flags` -- partial flag varieties as framed quiver
   moduli: fixed points, tangent weights, localization integrals, and the
   constraint residuals checked by the CLI.
@@ -26,13 +26,9 @@ verification suites.
 
 from .quivers import (
     Quiver,
-    chi_sym,
     euler_form,
     frame_at_infinity,
     framify,
-    freeze_collapse,
-    is_nondegenerate,
-    make_quiver,
     parse_quiver,
     preset,
     preset_names,
@@ -46,7 +42,6 @@ from .descendents import (
     apply_L,
     apply_Lwt0,
     apply_R,
-    apply_S,
     apply_framed_L,
     context,
     enumerate_monomials,
@@ -57,7 +52,6 @@ from .descendents import (
     zeta,
 )
 from .vertex_algebra import (
-    CosetState,
     Lattice,
     VAState,
     central_charge,
@@ -65,9 +59,7 @@ from .vertex_algebra import (
     dual_pairing_sides,
     duality_defect,
     heisenberg_mode,
-    is_physical,
     k0_residual,
-    lie_bracket,
     max_nonzero_mode,
     osc_monomials,
     pairing,
@@ -97,13 +89,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Quiver",
-    "chi_sym",
     "euler_form",
     "frame_at_infinity",
     "framify",
-    "freeze_collapse",
-    "is_nondegenerate",
-    "make_quiver",
     "parse_quiver",
     "preset",
     "preset_names",
@@ -115,7 +103,6 @@ __all__ = [
     "apply_L",
     "apply_Lwt0",
     "apply_R",
-    "apply_S",
     "apply_framed_L",
     "context",
     "enumerate_monomials",
@@ -124,7 +111,6 @@ __all__ = [
     "poly_to_str",
     "tau",
     "zeta",
-    "CosetState",
     "Lattice",
     "VAState",
     "central_charge",
@@ -132,9 +118,7 @@ __all__ = [
     "dual_pairing_sides",
     "duality_defect",
     "heisenberg_mode",
-    "is_physical",
     "k0_residual",
-    "lie_bracket",
     "max_nonzero_mode",
     "osc_monomials",
     "pairing",

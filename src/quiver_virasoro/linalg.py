@@ -1,9 +1,9 @@
 """Small exact linear-algebra helpers over ``fractions.Fraction``.
 
 Everything in this package is exact rational arithmetic; the matrices that
-show up (Todd/Euler pairings, T-coset reductions, kernel computations for
-physical states) are tiny and dense, so plain Gaussian elimination over
-Fraction is both simplest and fast enough.
+show up (the inverse of a lattice's symmetrized form, the kernel that spans
+the bracket suite's residual-free states) are tiny and dense, so plain
+Gaussian elimination over Fraction is both simplest and fast enough.
 """
 
 from __future__ import annotations
@@ -41,30 +41,6 @@ def rref(rows) -> tuple[Matrix, list[int]]:
         if r == len(mat):
             break
     return mat, pivots
-
-
-def det(rows) -> Fraction:
-    """Determinant of a square matrix, by fraction-free-ish elimination."""
-    mat = _as_fractions(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant requires a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        result *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return sign * result
 
 
 def inverse(rows) -> Matrix:

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-from .linalg import det
+from typing import Mapping, Sequence
 
 INFINITY = "∞"  # the reserved framing vertex name
 
@@ -66,14 +64,6 @@ class Quiver:
         return self.vertices.index(v)
 
 
-def make_quiver(vertices: Iterable[str],
-                edges: Iterable[tuple[str, str]] = (),
-                relations: Iterable[tuple[str, str]] = (),
-                frozen: Iterable[str] = ()) -> Quiver:
-    return Quiver(tuple(vertices), tuple(tuple(e) for e in edges),
-                  tuple(tuple(r) for r in relations), frozenset(frozen))
-
-
 def coords(q: Quiver, d) -> tuple[int, ...]:
     """Normalize a dim-vector-like object to a tuple in vertex order.
 
@@ -109,7 +99,7 @@ def adjacency_and_relation_matrices(q: Quiver) -> tuple[IntMatrix, IntMatrix]:
 def todd_matrix(q: Quiver) -> IntMatrix:
     """td(Q) = diag(unfrozen indicator) - A + S, in vertex order.
 
-    >>> q = make_quiver(["1", "2"], edges=[("1", "2")])
+    >>> q = Quiver(("1", "2"), (("1", "2"),))
     >>> todd_matrix(q)
     ((1, -1), (0, 1))
     """
@@ -125,7 +115,7 @@ def euler_form(q: Quiver, c, d):
     """chi(c, d) = sum_{v unfrozen} c_v d_v - sum_e c_t(e) d_h(e)
     + sum_r c_t(r) d_h(r) = <c, td(Q) d>.
 
-    >>> q = make_quiver(["1", "2"], edges=[("1", "2")])
+    >>> q = Quiver(("1", "2"), (("1", "2"),))
     >>> euler_form(q, {"1": 1, "2": 2}, {"1": 3, "2": 4})
     7
     """
@@ -133,23 +123,6 @@ def euler_form(q: Quiver, c, d):
     td = todd_matrix(q)
     return sum(cc[i] * td[i][j] * dd[j]
                for i in range(len(cc)) for j in range(len(dd)))
-
-
-def chi_sym(q: Quiver, c, d):
-    """Symmetrized Euler pairing chi(c, d) + chi(d, c)."""
-    return euler_form(q, c, d) + euler_form(q, d, c)
-
-
-def is_nondegenerate(q: Quiver) -> bool:
-    """Whether td(Q) + td(Q)^T is invertible (the symmetrized pairing).
-
-    >>> is_nondegenerate(make_quiver(["1", "2"], edges=[("1", "2")] * 2))
-    False
-    """
-    td = todd_matrix(q)
-    n = len(td)
-    sym = [[td[i][j] + td[j][i] for j in range(n)] for i in range(n)]
-    return det(sym) != 0
 
 
 def frame_at_infinity(q: Quiver, n) -> Quiver:
@@ -176,60 +149,11 @@ def frame_at_infinity(q: Quiver, n) -> Quiver:
                   frozenset({INFINITY}))
 
 
-def freeze_collapse(q: Quiver, d) -> tuple[Quiver, dict]:
-    """Collapse all frozen vertices into a single ``∞`` at dim vector d.
-
-    Every edge out of a frozen vertex t becomes d_t parallel edges
-    ``∞ -> head``; edges and relations among unfrozen vertices are kept.
-    Returns the collapsed quiver together with the translated dim vector
-    (``∞`` carries sum of the frozen entries of d, unfrozen entries are
-    unchanged; in moduli use the collapsed framing node has multiplicity 1).
-
-    Preconditions: q has at least one frozen vertex, the frozen entries of d
-    are nonnegative and not all zero, and no edge points into a frozen
-    vertex from an unfrozen one (such an edge has no collapse image).
-    """
-    if not q.frozen:
-        raise ValueError("freeze_collapse requires at least one frozen vertex")
-    dd = dict(zip(q.vertices, coords(q, d)))
-    frozen_total = sum(dd[v] for v in q.frozen)
-    if any(dd[v] < 0 for v in q.frozen):
-        raise ValueError("frozen dims must be nonnegative")
-    if frozen_total == 0:
-        raise ValueError("frozen dims are all zero; nothing to collapse onto")
-    if INFINITY in q.vertices:
-        raise ValueError(f"vertex name {INFINITY!r} is reserved")
-    new_edges: list[tuple[str, str]] = []
-    for t, h in q.edges:
-        if t in q.frozen and h in q.frozen:
-            raise ValueError(f"edge {t}->{h} joins two frozen vertices")
-        if t in q.frozen:
-            if dd[t]:
-                new_edges.extend([(INFINITY, h)] * dd[t])
-        elif h in q.frozen:
-            raise ValueError(f"edge {t}->{h} into a frozen vertex has no "
-                             "collapse image")
-        else:
-            new_edges.append((t, h))
-    new_relations = []
-    for t, h in q.relations:
-        if h in q.frozen:
-            raise ValueError(f"relation {t}->{h} into a frozen vertex has no "
-                             "collapse image")
-        new_relations.append((t, h))
-    collapsed = Quiver((INFINITY,) + q.unfrozen,
-                       tuple(new_edges), tuple(new_relations),
-                       frozenset({INFINITY}))
-    new_dims = {INFINITY: frozen_total}
-    new_dims.update({v: dd[v] for v in q.unfrozen})
-    return collapsed, new_dims
-
-
 def framify(q: Quiver) -> Quiver:
     """The framed double: a frozen copy ``(v)`` plus one edge ``(v) -> v``
     for each vertex.  Its symmetrized Todd pairing is always nondegenerate.
 
-    >>> fr = framify(make_quiver(["1"]))
+    >>> fr = framify(Quiver(("1",)))
     >>> fr.vertices
     ('(1)', '1')
     >>> todd_matrix(fr)

@@ -722,19 +722,7 @@ def duality_defect(k: int, tau_poly: DescPoly, s: VAState, ctx: VirContext) -> F
 
 
 # ---------------------------------------------------------------------------
-# physical states and the coset Lie bracket
-
-def is_physical(s: VAState, weight) -> bool:
-    """L_0 s = weight s and L_k s = 0 for all k >= 1 (exact: only
-    k <= oscillator degree can act nontrivially)."""
-    w = Fraction(weight)
-    if virasoro_mode(0, s) != w * s:
-        return False
-    for k in range(1, s.osc_degree() + 1):
-        if not virasoro_mode(k, s).is_zero():
-            return False
-    return True
-
+# the K_0 residual and the bracket
 
 def k0_residual(s: VAState) -> VAState:
     """sum_{j >= -1} ((-1)^j/(j+1)!) T^{j+1} L_j(s); truncates at the
@@ -758,78 +746,6 @@ def bracket_residual(a: VAState, b: VAState) -> VAState:
     return k0_residual(vertex_mode(a, 0, b))
 
 
-class CosetState:
-    """A class in the T-quotient; arithmetic on representatives, equality
-    via graded normal form modulo the image of the translation operator."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep: VAState):
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CosetState is immutable")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.rep.lattice
-
-    def normal_form(self) -> VAState:
-        return _coset_normal_form(self.rep)
-
-    def is_zero(self) -> bool:
-        return self.normal_form().is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, CosetState):
-            return NotImplemented
-        return self.normal_form() == other.normal_form()
-
-    def __add__(self, other):
-        return CosetState(self.rep + other.rep)
-
-    def __sub__(self, other):
-        return CosetState(self.rep - other.rep)
-
-
 def osc_monomials(L: Lattice, degree: int) -> list[Monomial]:
     """Every oscillator monomial of total degree ``degree``, sorted."""
     return monomials.of_degree(L.basis, degree, degree)
-
-
-def _coset_normal_form(s: VAState) -> VAState:
-    L = s.lattice
-    out: dict[tuple[Sector, Monomial], Fraction] = {}
-    for (sec, _), comp in s.degree_components().items():
-        oscdeg = comp.osc_degree()  # the same for every term of comp
-        cols = osc_monomials(L, oscdeg)
-        col_index = {m: i for i, m in enumerate(cols)}
-
-        def dense(state: VAState) -> list[Fraction]:
-            vec = [_ZERO] * len(cols)
-            for (_, mono), c in state.terms.items():
-                vec[col_index[mono]] = c
-            return vec
-
-        rows = [dense(translate(VAState(L, {(sec, m): _ONE})))
-                for m in osc_monomials(L, oscdeg - 1)]
-        # components differ in sector or oscillator degree: no key repeats
-        out.update(((sec, m), c) for m, c in zip(cols, _reduce_against(rows, dense(comp))))
-    return VAState(L, out)
-
-
-def _reduce_against(rows: list[list[Fraction]], vec: list[Fraction]):
-    if not rows:
-        return vec
-    red, pivots = linalg.rref(rows)
-    v = list(vec)
-    for r, c in zip(red, pivots):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, r)]
-    return v
-
-
-def lie_bracket(a: CosetState, b: CosetState) -> CosetState:
-    """[a, b] = a_{(0)} b on T-cosets (well defined: (T x)_{(0)} = 0)."""
-    return CosetState(vertex_mode(a.rep, 0, b.rep))

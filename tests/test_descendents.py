@@ -14,7 +14,6 @@ from quiver_virasoro.descendents import (
     apply_L,
     apply_Lwt0,
     apply_R,
-    apply_S,
     commutator_defect,
     context,
     enumerate_monomials,
@@ -148,23 +147,6 @@ def test_unframed_commutators_small_grid():
                     else DescPoly.zero()
                 )
                 assert lhs == rhs, (n, m, poly_to_str(p))
-
-
-def test_S_operator():
-    ctx = context(preset("A_1"), (2,))
-    # S_k^v = -((k+1)!/d_v) R_{-1}(tau_{k+1}(v) * -)
-    p = tau(1, "1")
-    expected = Fraction(-factorial(1), 2) * apply_R(-1, tau(1, "1") * p, ctx)
-    assert apply_S(0, "1", p, ctx) == expected
-    ctx0 = context(preset("A_1"), (0,))
-    with pytest.raises(ValueError):
-        apply_S(0, "1", p, ctx0)
-
-
-def test_S_errors_on_unknown_vertex():
-    ctx = context(preset("A_1"), (1,))
-    with pytest.raises(ValueError):
-        apply_S(0, "2", tau(1, "1"), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +363,27 @@ def test_commutator_defect_is_not_zero_for_the_framed_minus_one_mode():
     # below the framed range L_{n+m} counts as 0, so only the commutator is left
     assert not commutator_defect(-1, 0, tau(2, "1"), ctx).is_zero()
 
+
+
+_FROZEN_CONTEXTS = {
+    "framify(A_1)": context(framify(preset("A_1")), (1, 2)),
+    "framify(A_2)": context(framify(preset("A_2")), (1, 1, 2, 1)),
+    "framify(Kronecker-2)": context(framify(preset("Kronecker-2")), (1, 1, 1, 2)),
+    "infinity(1:3)": infinity_context(FlagShape.parse("1:3")),
+    "infinity(1,2:4)": infinity_context(FlagShape.parse("1,2:4")),
+}
+
+
+@pytest.mark.parametrize("name", _FROZEN_CONTEXTS)
+def test_frozen_commutators_hold_shifted_and_fail_unshifted_at_n_plus_m_zero(name):
+    # with frozen vertices [L_n, L_m] = (m - n)(L_{n+m} - delta_{n+m,0});
+    # the plain relation misses the shift only at n = -1, m = 1, by 2p
+    ctx = _FROZEN_CONTEXTS[name]
+    L = lambda k, x: apply_L(k, x, ctx)
+    for p in enumerate_monomials(ctx.quiver.vertices, 3):
+        for n in range(-1, 3):
+            for m in range(n + 1, 3):
+                assert commutator_defect(n, m, p, ctx).is_zero(), (n, m, poly_to_str(p))
+                plain = L(n, L(m, p)) - L(m, L(n, p)) - (m - n) * L(n + m, p)
+                want = -2 * p if (n, m) == (-1, 1) else DescPoly.zero()
+                assert plain == want, (n, m, poly_to_str(p))

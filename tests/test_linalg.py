@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from quiver_virasoro.linalg import (
-    det,
     inverse,
     kernel_basis,
     rref,
@@ -37,25 +36,13 @@ def test_rref_is_idempotent_and_pivots_are_unit_columns():
                     assert red[rr][c] == 0
 
 
-def test_det_multiplicative_and_alternating():
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = _rand_matrix(rng, n, n)
-        b = _rand_matrix(rng, n, n)
-        assert det(_mat_mul(a, b)) == det(a) * det(b)
-    # a repeated row kills the determinant
-    m = [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)]]
-    assert det(m) == 0
-
-
 def test_inverse_round_trip_and_singular_error():
     rng = random.Random(3)
     found = 0
     while found < 10:
         n = rng.randint(1, 4)
         a = _rand_matrix(rng, n, n)
-        if det(a) == 0:
+        if len(rref(a)[1]) < n:
             continue
         found += 1
         inv = inverse(a)

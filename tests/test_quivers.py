@@ -1,30 +1,25 @@
-from fractions import Fraction
-
 import pytest
 
 from quiver_virasoro.quivers import (
     INFINITY,
     Quiver,
-    chi_sym,
     euler_form,
     frame_at_infinity,
     framify,
-    freeze_collapse,
-    is_nondegenerate,
-    make_quiver,
     parse_quiver,
     preset,
     preset_names,
     serialize_quiver,
     todd_matrix,
 )
+from quiver_virasoro.vertex_algebra import Lattice
 
 
 # ---------------------------------------------------------------------------
 # construction and validation
 
 def test_make_quiver_basic():
-    q = make_quiver(["a", "b"], edges=[("a", "b")])
+    q = Quiver(("a", "b"), (("a", "b"),))
     assert q.vertices == ("a", "b")
     assert q.edges == (("a", "b"),)
     assert q.frozen == frozenset()
@@ -33,18 +28,17 @@ def test_make_quiver_basic():
 
 def test_duplicate_vertex_rejected():
     with pytest.raises(ValueError):
-        make_quiver(["a", "a"])
+        Quiver(("a", "a"))
 
 
 def test_edge_with_undeclared_endpoint_rejected():
     with pytest.raises(ValueError):
-        make_quiver(["a"], edges=[("a", "b")])
+        Quiver(("a",), (("a", "b"),))
 
 
 def test_relation_into_frozen_tail_rejected():
     with pytest.raises(ValueError):
-        make_quiver(["a", "b"], edges=[("a", "b")], relations=[("b", "a")],
-                    frozen=["b"])
+        Quiver(("a", "b"), (("a", "b"),), (("b", "a"),), frozenset({"b"}))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +57,7 @@ def test_todd_matrix_with_relations_p2():
 
 def test_todd_matrix_loop_vertex():
     # One loop: diagonal entry 1 - 1 = 0.
-    q = make_quiver(["a"], edges=[("a", "a")])
+    q = Quiver(("a",), (("a", "a"),))
     assert todd_matrix(q) == ((0,),)
 
 
@@ -71,19 +65,19 @@ def test_euler_form_and_symmetrization():
     q = preset("A_2")
     assert euler_form(q, (1, 0), (0, 1)) == -1
     assert euler_form(q, (0, 1), (1, 0)) == 0
-    assert chi_sym(q, (1, 0), (0, 1)) == -1
-    assert chi_sym(q, (0, 1), (1, 0)) == -1
     # chi(d, d) on the preset dimension vectors
     assert euler_form(q, (1, 1), (1, 1)) == 1
     assert euler_form(q, (2, 1), (2, 1)) == 3
 
 
 def test_nondegeneracy():
-    assert is_nondegenerate(preset("A_1"))
-    assert is_nondegenerate(preset("A_2"))
-    assert is_nondegenerate(preset("P_2"))
+    # the symmetrized form td + td^T has a dual basis exactly when it is
+    # nondegenerate
+    for name in ("A_1", "A_2", "P_2"):
+        Lattice.from_quiver(preset(name)).dual_basis()
     # the 2-arrow Kronecker quiver has degenerate symmetrized form
-    assert not is_nondegenerate(preset("Kronecker-2"))
+    with pytest.raises(ValueError, match="degenerate"):
+        Lattice.from_quiver(preset("Kronecker-2")).dual_basis()
 
 
 def test_dimension_vectors_accept_mappings_and_sequences():
@@ -108,7 +102,7 @@ def test_framify_a1():
 
 
 def test_framify_rejects_name_clash():
-    q = make_quiver(["v", "(v)"])
+    q = Quiver(("v", "(v)"))
     with pytest.raises(ValueError):
         framify(q)
 
@@ -126,25 +120,6 @@ def test_frame_at_infinity_rejects_bad_input():
         frame_at_infinity(framify(preset("A_1")), (1,))  # already frozen
     with pytest.raises(ValueError):
         frame_at_infinity(preset("A_1"), (0,))  # zero framing
-
-
-def test_freeze_collapse():
-    q = framify(preset("A_1"))
-    collapsed, dims = freeze_collapse(q, {"(1)": 2, "1": 3})
-    assert collapsed.vertices == (INFINITY, "1")
-    assert collapsed.edges == ((INFINITY, "1"), (INFINITY, "1"))
-    assert dims == {INFINITY: 2, "1": 3}
-
-
-def test_freeze_collapse_rejects_zero_frozen_dims():
-    q = framify(preset("A_1"))
-    with pytest.raises(ValueError):
-        freeze_collapse(q, {"(1)": 0, "1": 3})
-
-
-def test_freeze_collapse_requires_frozen_vertices():
-    with pytest.raises(ValueError):
-        freeze_collapse(preset("A_1"), {"1": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +158,7 @@ def test_parse_quiver_error_reports_line_number():
 
 
 def test_serialize_groups_repeated_edges():
-    q = make_quiver(["a", "b"], edges=[("a", "b"), ("a", "b"), ("a", "b")])
+    q = Quiver(("a", "b"), (("a", "b"),) * 3)
     assert "edge a b x3" in serialize_quiver(q)
 
 

@@ -5,6 +5,8 @@ import doctest
 import importlib
 from pathlib import Path
 
+import quiver_virasoro
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quiver_virasoro"
 
 
@@ -28,3 +30,10 @@ def test_docstring_examples_run():
         assert result.failed == 0, path.name
         attempted += result.attempted
     assert attempted >= 1
+
+
+def test_star_import_resolves_every_public_name():
+    # a name left in __all__ after its definition goes fails here
+    namespace = {}
+    exec("from quiver_virasoro import *", namespace)
+    assert set(quiver_virasoro.__all__) <= set(namespace)

@@ -11,7 +11,6 @@ from quiver_virasoro import linalg, monomials, vertex_algebra
 from quiver_virasoro.descendents import parse_poly, tau
 from quiver_virasoro.quivers import framify, preset
 from quiver_virasoro.vertex_algebra import (
-    CosetState,
     Lattice,
     VAState,
     central_charge,
@@ -20,10 +19,8 @@ from quiver_virasoro.vertex_algebra import (
     duality_defect,
     heisenberg_defect,
     heisenberg_mode,
-    is_physical,
     iterate_defect,
     k0_residual,
-    lie_bracket,
     max_nonzero_mode,
     osc_monomials,
     pairing,
@@ -426,14 +423,7 @@ def test_duality_delta_term_matters_at_k_zero():
 
 
 # ---------------------------------------------------------------------------
-# physical states, residual, bracket
-
-def test_physical_pure_sector_states():
-    lat = _lat()
-    s = vacuum(lat, (0, 1))  # q(alpha, alpha) = 1
-    assert is_physical(s, 1)
-    assert not is_physical(s, 2)
-
+# residual, bracket
 
 def test_k0_residual_base_case_and_weight_obstruction():
     lat = _lat()
@@ -454,28 +444,6 @@ def test_k0_residual_agrees_with_zero_mode_of_omega():
         monos = osc_monomials(lat, deg)
         s = _mono_state(lat, sector, monos[rng.randrange(len(monos))])
         assert k0_residual(s) == vertex_mode(s, 0, omega), (sector, deg)
-
-
-def test_coset_normal_form_kills_translates():
-    lat = _lat()
-    s = vacuum(lat, (0, 1))
-    t = translate(s)
-    assert CosetState(t).is_zero()
-    assert not CosetState(s).is_zero()
-    # adding a translate does not change the coset
-    u = _mono_state(lat, (0, 1), [("1", 1, 1)])
-    assert CosetState(u + t) == CosetState(u)
-
-
-def test_lie_bracket_examples():
-    lat = _lat()
-    a = vacuum(lat, (0, 1))
-    b = vacuum(lat, (0, -1))
-    # qsym = -2 here: the bracket lands two oscillator levels down, nonzero
-    br = lie_bracket(CosetState(a), CosetState(b))
-    assert not br.is_zero()
-    # qsym((0,1),(0,1)) = 2 >= 0: bracket of equal sectors vanishes mod T
-    assert lie_bracket(CosetState(a), CosetState(a)).is_zero()
 
 
 def test_bracket_closure_on_residual_free_states():
