@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 from . import monomials
@@ -381,22 +381,28 @@ def apply_Lwt0(p: DescPoly, ctx: VirContext) -> DescPoly:
     """Weight-zero combination sum_j ((-1)^j/(j+1)!) L_j R_{-1}^{j+1} p.
 
     The sum truncates once R_{-1}^{j+1} kills p (each R_{-1} lowers degree
-    by one); the image lies in ker R_{-1}.  Every term of every L_j goes
-    straight into one accumulator.
+    by one); the image lies in ker R_{-1}.  The arithmetic is in integers
+    over one common denominator n!·s, where s is the lcm of the coefficient
+    denominators of p and n the number of nonzero r_i = R_{-1}^i (s·p):
+    R_k has integer weights, d_v is an integer and T_k is integral, so every
+    r_i and every L_j r_{j+1} is integral, and n!/(j+1)! is an integer.
     """
-    out: dict[Monomial, Fraction] = {}
-    r = p
-    j = -1
-    while not r.is_zero():
-        scale = Fraction(-1 if j % 2 else 1, factorial(j + 1))
-        for m, c in apply_R(j, r, ctx).terms.items():
-            monomials.add_into(out, m, scale * c)
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    chain = [DescPoly({m: c * scale for m, c in p.terms.items()})]
+    while not chain[-1].is_zero():
+        chain.append(apply_R(-1, chain[-1], ctx))
+    top = factorial(len(chain) - 1)
+    out: dict[Monomial, int] = {}
+    for j, r in enumerate(chain[:-1], start=-1):
+        w = top // factorial(j + 1) * (-1 if j % 2 else 1)
+        # the R part of L_{-1} r_0 is r_1, already in the chain
+        for m, c in (chain[1] if j < 0 else apply_R(j, r, ctx)).terms.items():
+            monomials.add_into(out, m, w * c.numerator)
         for m1, c1 in T_class(j, ctx).terms.items():
             for m2, c2 in r.terms.items():
-                monomials.add_into(out, monomials.mul(m1, m2), scale * c1 * c2)
-        r = apply_R(-1, r, ctx)
-        j += 1
-    return DescPoly(out)
+                monomials.add_into(out, monomials.mul(m1, m2),
+                                   w * c1.numerator * c2.numerator)
+    return DescPoly({m: Fraction(v, top * scale) for m, v in out.items()})
 
 
 def _tau_of_framing(k: int, ctx: VirContext) -> DescPoly:

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm, prod
 
 from .descendents import (DescPoly, VirContext, apply_framed_L, apply_Lwt0,
                           context, zeta)
-from .quivers import Quiver, euler_form, frame_at_infinity
+from .quivers import Quiver, frame_at_infinity
 
 _ZERO = Fraction(0)
 
@@ -115,8 +116,10 @@ def flag_context(shape: FlagShape) -> VirContext:
     return context(q, dims, framing=framing_vector(shape))
 
 
+@lru_cache(maxsize=None)
 def infinity_context(shape: FlagShape) -> VirContext:
-    """Context over the chain quiver framed at infinity, dim (1, d-bar).
+    """Context over the chain quiver framed at infinity, dim (1, d-bar),
+    memoized per shape for the life of the process.
 
     ``zeta(T_class(k, infinity_context(s)))`` is
     ``framed_T_class(k, flag_context(s), convention="paper-delta")``: ∞ is

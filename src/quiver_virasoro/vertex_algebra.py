@@ -201,16 +201,6 @@ class VAState:
         """Largest oscillator degree sum k_i over the terms (0 for e^a⊗1)."""
         return max((monomials.degree(m) for _, m in self.terms), default=0)
 
-    def degree_components(self) -> dict[tuple[Sector, int], "VAState"]:
-        """Split into (sector, total degree) homogeneous pieces."""
-        out: dict[tuple[Sector, int], dict] = {}
-        for (sec, mono), c in self.terms.items():
-            # q(a, a) = Q_sym(a, a) / 2 from the cached integer row
-            d = monomials.degree(mono) + sum(
-                a * w for a, w in zip(sec, self.lattice.pair_row(sec))) // 2
-            out.setdefault((sec, d), {})[(sec, mono)] = c
-        return {k: VAState(self.lattice, t) for k, t in out.items()}
-
     def __str__(self):
         if not self.terms:
             return "0"

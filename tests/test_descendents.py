@@ -195,7 +195,9 @@ _LWT0_CONTEXTS = (
 @st.composite
 def _lwt0_inputs(draw):
     """A context over a quiver framed at infinity and a polynomial of up to
-    4 terms with rational coefficients, ∞ descendents and constants."""
+    4 terms with rational coefficients, ∞ descendents and constants.  The
+    denominators run to 12, so their lcm can hold primes (7, 11) that no
+    (j+1)! of a short series divides."""
     ctx = draw(st.sampled_from(_LWT0_CONTEXTS))
     gens = st.tuples(st.sampled_from(ctx.quiver.vertices), st.integers(1, 4))
     terms = {}
@@ -203,7 +205,7 @@ def _lwt0_inputs(draw):
         mono = ()
         for v, i in factors:
             mono = monomials.mul(mono, ((v, i, 1),))
-        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
         terms[mono] = terms.get(mono, 0) + coeff
     return ctx, DescPoly(terms)
 
@@ -221,6 +223,18 @@ def test_Lwt0_matches_the_defining_series():
 
     run()
     assert sum(nonzero) >= 50
+
+
+def test_Lwt0_on_zero_constants_and_tau_1():
+    # R_{-1} kills a constant, and R_{-1} tau_1(v) is the constant d_v, so the
+    # series of tau_1(v) stops at j = 0: -L_{-1} tau_1(v) + L_0 d_v = d_v (T_0 - 1)
+    for ctx in _LWT0_CONTEXTS:
+        assert apply_Lwt0(DescPoly.zero(), ctx).is_zero()
+        assert apply_Lwt0(DescPoly.const(Fraction(5, 7)), ctx).is_zero()
+        for v in ctx.quiver.vertices:
+            want = ctx.dim_of(v) * (T_class(0, ctx) - 1)
+            assert apply_Lwt0(tau(1, v), ctx) == want, v
+            assert apply_Lwt0(Fraction(3, 11) * tau(1, v), ctx) == Fraction(3, 11) * want, v
 
 
 def test_zeta_kills_infinity_descendents():

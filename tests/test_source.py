@@ -37,3 +37,30 @@ def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from quiver_virasoro import *", namespace)
     assert set(quiver_virasoro.__all__) <= set(namespace)
+
+
+def _names_read(tree):
+    """Every name a module loads, plus the strings its ``__all__`` lists."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    return read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}:{node.lineno} {bound}")
+    assert unread == []
